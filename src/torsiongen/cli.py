@@ -167,6 +167,12 @@ def _sweep_one(args):
         )
 
 
+def _valid_entry(cached) -> bool:
+    """A cache entry is usable only in the shape `ReportCell.as_dict` writes;
+    anything else is a miss, recomputed and overwritten."""
+    return isinstance(cached, dict) and {"params", "status", "outcome"} <= cached.keys()
+
+
 def cmd_sweep(
     family: str,
     k_range: tuple[int, int],
@@ -188,7 +194,7 @@ def cmd_sweep(
     for family_, k, n in grid:
         key = cache_key(__version__, f"verify/{family_}", {"k": k, "n": n})
         cached = cache_get(root, key)
-        if cached is not None:
+        if _valid_entry(cached):
             cells[(k, n)] = ReportCell.of(
                 cached["params"], cached["status"], cached["outcome"]
             )

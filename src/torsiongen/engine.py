@@ -1,14 +1,19 @@
-"""Deterministic permutation-group engine.
+"""Exact permutation-group engine.
 
-Builds a base and strong generating set (Schreier-Sims, no randomization)
-and answers exact order / membership / orbit / transitivity / primitivity
-queries.  Internally permutations are numpy int32 image tables; composition
-r(x) = p(q(x)) is the fancy-index p[q].
+Builds a base and strong generating set (deterministic Schreier-Sims) and
+answers exact order / membership / orbit / transitivity / primitivity
+queries.  `classify` first tries a giant certificate (transitivity plus an
+element with a long prime cycle, found by a seeded random walk) that proves
+the group contains A_n without building a chain; a missed certificate only
+costs the chain build, never a different verdict.  Internally permutations
+are numpy int32 image tables; composition r(x) = p(q(x)) is the fancy-index
+p[q].
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,16 +246,6 @@ class StabilizerChain:
         ]
 
 
-def build_chain(
-    gens: list[Permutation], stop_order: int | None = None
-) -> StabilizerChain:
-    return StabilizerChain(gens, stop_order=stop_order)
-
-
-def group_order(chain: StabilizerChain) -> int:
-    return chain.order()
-
-
 @dataclass(frozen=True)
 class Classification:
     kind: str  # "symmetric" | "alternating" | "other"
@@ -262,22 +257,94 @@ class Classification:
         return self.kind.capitalize()
 
 
+# Product-replacement walk of the giant certificate: slots, warm-up steps
+# and elements tested before falling back to the stabilizer chain.
+_PR_SLOTS = 5
+_PR_WARMUP = 20
+_PR_TRIES = 64
+
+
+def _is_prime(m: int) -> bool:
+    return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
+def _long_prime_cycle(a: Array, n: int) -> bool:
+    """Does `a` have a cycle of prime length p with n/2 < p <= n-3?"""
+    images = a.tolist()
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        if 2 * length > n:
+            # at most one cycle is longer than n/2
+            return length <= n - 3 and _is_prime(length)
+    return False
+
+
+def _giant_certificate(gens: list[Permutation]) -> bool:
+    """True only if <gens> contains A_n (Seress, Permutation Group
+    Algorithms, Lemma 10.2.1).
+
+    The group must be transitive, and a product-replacement walk must meet
+    an element with a cycle of prime length p, n/2 < p <= n-3.  Its other
+    cycles are shorter than p, so the power to the lcm of their lengths is
+    a p-cycle.  A p-cycle with p > n/2 fits in no block of a nontrivial
+    block system and cannot permute p blocks of size >= 2 either, so the
+    transitive group is primitive, and by Jordan's theorem (Wielandt,
+    Finite Permutation Groups, Thm 13.9) a primitive group with a p-cycle,
+    p <= n-3, contains A_n.  The walk is seeded from the generators with a
+    local generator, so results are reproducible and the global `random`
+    state is untouched; False means only that no certificate was found.
+    """
+    n = gens[0].degree
+    if len(orbit(gens, 0)) != n:
+        return False
+    arrays = [_to_array(g) for g in gens]
+    rng = random.Random(np.stack(arrays).tobytes())
+    slots = [arrays[i % len(arrays)] for i in range(max(_PR_SLOTS, len(arrays)))]
+    acc = np.arange(n, dtype=np.int32)
+    for step in range(_PR_WARMUP + _PR_TRIES):
+        i, j = rng.sample(range(len(slots)), 2)
+        slots[i] = slots[i][slots[j]] if rng.random() < 0.5 else slots[j][slots[i]]
+        acc = acc[slots[i]]
+        if step >= _PR_WARMUP and _long_prime_cycle(acc, n):
+            return True
+    return False
+
+
 def classify(gens: list[Permutation]) -> Classification:
     """Symmetric iff order n!; Alternating iff order n!/2 with all
     generators even; Other otherwise (carrying the exact order).
 
-    For n >= 5 the chain build stops once the order lower bound reaches
-    n!/2: the order then divides n! and is >= n!/2, so it is n!/2 or n!,
-    and A_n is the only index-2 subgroup, making generator parity decide
-    the two cases exactly.
+    For n >= 8 a giant certificate (see `_giant_certificate`) is tried
+    first; when it holds, the group contains A_n.  Otherwise, for n >= 5,
+    the chain build stops once the order lower bound reaches n!/2: the
+    order then divides n! and is >= n!/2.  Either way the group is A_n or
+    S_n, and A_n is the only index-2 subgroup, so generator parity decides
+    the two cases exactly.  Groups the certificate misses (n < 8, where no
+    such prime exists, non-giants, and rare walk misses) get the exact
+    order from the chain.
     """
     n = gens[0].degree
     full = math.factorial(n)
     all_even = all(
         sum(len(c) - 1 for c in g.cycles()) % 2 == 0 for g in gens
     )
-    chain = build_chain(gens, stop_order=full // 2 if n >= 5 else None)
-    if not chain.complete:
+    giant = (
+        n >= 8
+        and all(g.degree == n for g in gens)
+        and _giant_certificate(gens)
+    )
+    if not giant:
+        chain = StabilizerChain(gens, stop_order=full // 2 if n >= 5 else None)
+        giant = not chain.complete
+    if giant:
         if all_even:
             return Classification("alternating", full // 2)
         return Classification("symmetric", full)
@@ -322,7 +389,7 @@ def is_two_transitive(gens: list[Permutation]) -> bool:
         return False
     if n == 2:
         return True
-    chain = build_chain(gens)
+    chain = StabilizerChain(gens)
     stab = chain.stabilizer_gens()
     if not stab:
         return False
@@ -392,7 +459,7 @@ def _single_prime_cycle(p: Permutation, n: int) -> int | None:
     ln = len(cycs[0])
     if ln > n - 3:
         return None
-    if ln < 2 or any(ln % d == 0 for d in range(2, int(ln**0.5) + 1)):
+    if not _is_prime(ln):
         return None
     return ln
 

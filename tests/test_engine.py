@@ -12,22 +12,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torsiongen import engine
 from torsiongen.engine import (
-    build_chain,
+    StabilizerChain,
     classify,
-    group_order,
     is_primitive,
     is_two_transitive,
     jordan_certificate,
     orbit,
 )
 from torsiongen.errors import (
+    CaseUndefined,
     DegreeMismatch,
     EmptyGeneratorList,
     PointOutOfRange,
 )
-from torsiongen.families import prop61_generators
-from torsiongen.perms import Permutation, parse_cycles
+from torsiongen.families import (
+    conjecture_pair,
+    prop61_generators,
+    prop62_generators,
+)
+from torsiongen.perms import Permutation, is_even, parse_cycles
 
 
 def bfs_closure(gens, cap=None):
@@ -67,42 +72,42 @@ def random_generator_sets(seed=0, count=60, max_degree=7):
 
 class TestOrderOracle:
     def test_cyclic_five(self):
-        chain = build_chain([parse_cycles("(0 1 2 3 4)", 5)])
-        assert group_order(chain) == 5
+        chain = StabilizerChain([parse_cycles("(0 1 2 3 4)", 5)])
+        assert chain.order() == 5
 
     def test_identity_group(self):
-        chain = build_chain([Permutation.identity(4)])
-        assert group_order(chain) == 1
+        chain = StabilizerChain([Permutation.identity(4)])
+        assert chain.order() == 1
 
     def test_sym3(self):
         gens = [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)]
-        assert group_order(build_chain(gens)) == 6
+        assert StabilizerChain(gens).order() == 6
 
     def test_prop61_order_k5_n18(self):
         gens, _ = prop61_generators(5, 18)
-        assert group_order(build_chain(list(gens))) == math.factorial(18) // 2
+        assert StabilizerChain(list(gens)).order() == math.factorial(18) // 2
 
     def test_prop61_order_k4_n12(self):
         gens, _ = prop61_generators(4, 12)
-        assert group_order(build_chain(list(gens))) == math.factorial(12)
+        assert StabilizerChain(list(gens)).order() == math.factorial(12)
 
     @pytest.mark.parametrize("gens", random_generator_sets())
     def test_matches_bfs_closure(self, gens):
-        assert group_order(build_chain(gens)) == len(bfs_closure(gens))
+        assert StabilizerChain(gens).order() == len(bfs_closure(gens))
 
     def test_empty_generators(self):
         with pytest.raises(EmptyGeneratorList):
-            build_chain([])
+            StabilizerChain([])
 
     def test_mixed_degrees(self):
         with pytest.raises(DegreeMismatch):
-            build_chain([Permutation.identity(3), Permutation.identity(4)])
+            StabilizerChain([Permutation.identity(3), Permutation.identity(4)])
 
 
 class TestMembership:
     @pytest.mark.parametrize("gens", random_generator_sets(seed=1, count=25, max_degree=6))
     def test_sift_matches_closure(self, gens):
-        chain = build_chain(gens)
+        chain = StabilizerChain(gens)
         members = bfs_closure(gens, cap=5000)
         n = gens[0].degree
         # all members accepted
@@ -115,7 +120,7 @@ class TestMembership:
             assert chain.contains(Permutation(images)) == (images in members)
 
     def test_membership_degree_mismatch(self):
-        chain = build_chain([parse_cycles("(0 1)", 3)])
+        chain = StabilizerChain([parse_cycles("(0 1)", 3)])
         with pytest.raises(DegreeMismatch):
             chain.contains(Permutation.identity(4))
 
@@ -123,7 +128,7 @@ class TestMembership:
 class TestChainDeterminism:
     def test_base_points_distinct_and_anchored(self):
         gens, _ = prop61_generators(4, 12)
-        chain = build_chain(list(gens))
+        chain = StabilizerChain(list(gens))
         assert len(set(chain.base)) == len(chain.base)
         # initial base point is the least point moved by any generator
         assert chain.base[0] == min(
@@ -132,8 +137,8 @@ class TestChainDeterminism:
 
     def test_identical_rebuild(self):
         gens, _ = prop61_generators(5, 18)
-        c1 = build_chain(list(gens))
-        c2 = build_chain(list(gens))
+        c1 = StabilizerChain(list(gens))
+        c2 = StabilizerChain(list(gens))
         assert c1.base == c2.base
         assert [len(l.orbit) for l in c1.levels] == [
             len(l.orbit) for l in c2.levels
@@ -172,6 +177,135 @@ class TestClassify:
         gens, _ = prop61_generators(7, 21)
         assert classify(list(gens)).kind == "alternating"
         assert all(is_even(g) for g in gens)
+
+
+def _acceptance_cells(family, k):
+    """Generator lists of the acceptance-grid cells of one family and k."""
+    if family == "conjecture":
+        cells = []
+        for n in range(k, 61):
+            try:
+                gens, _ = conjecture_pair(k, n)
+            except CaseUndefined:
+                continue
+            cells.append(list(gens))
+        return cells
+    if family == "prop61":
+        return [list(prop61_generators(k, n)[0]) for n in range(2 * k, 61)]
+    return [list(prop62_generators(k, n)[0]) for n in range(k + 2, 61)]
+
+
+def _projective_line(p, with_diagonal):
+    """PSL(2,p), or PGL(2,p) with the diagonal map, on the p+1 points of
+    the projective line (point p is infinity)."""
+    inf = p
+    translate = [(x + 1) % p for x in range(p)] + [inf]
+    invert = [inf] + [(-pow(x, -1, p)) % p for x in range(1, p)] + [0]
+    gens = [Permutation(tuple(translate)), Permutation(tuple(invert))]
+    if with_diagonal:
+        r = _primitive_root(p)
+        gens.append(Permutation(tuple([(r * x) % p for x in range(p)] + [inf])))
+    return gens
+
+
+def _primitive_root(p):
+    return next(
+        r for r in range(2, p) if len({pow(r, e, p) for e in range(1, p)}) == p - 1
+    )
+
+
+def _affine_line(p):
+    r = _primitive_root(p)
+    return [
+        Permutation(tuple((x + 1) % p for x in range(p))),
+        Permutation(tuple((r * x) % p for x in range(p))),
+    ]
+
+
+def _wreath_with_s2(m):
+    """S_m wr S_2 on 2m points: S_m on the first block plus the block swap."""
+    n = 2 * m
+    return [
+        parse_cycles("(0 1)", n),
+        parse_cycles("(" + " ".join(map(str, range(m))) + ")", n),
+        parse_cycles("".join(f"({i} {i + m})" for i in range(m)), n),
+    ]
+
+
+# (name, generators, exact order or None to take it from bfs_closure)
+NON_GIANTS = [
+    *[(f"PSL(2,{p})", _projective_line(p, False), None) for p in (7, 11, 13)],
+    *[(f"PGL(2,{p})", _projective_line(p, True), None) for p in (7, 11, 13)],
+    *[(f"AGL(1,{p})", _affine_line(p), None) for p in (7, 11, 13)],
+    ("S4 wr S2", _wreath_with_s2(4), None),
+    ("S6 wr S2", _wreath_with_s2(6), 2 * math.factorial(6) ** 2),
+    (
+        "S5 x S5",
+        [
+            parse_cycles("(0 1)", 10),
+            parse_cycles("(0 1 2 3 4)", 10),
+            parse_cycles("(5 6)", 10),
+            parse_cycles("(5 6 7 8 9)", 10),
+        ],
+        None,
+    ),
+]
+
+
+class TestGiantCertificate:
+    """The certificate-first classify against the chain-only path."""
+
+    @pytest.mark.parametrize(
+        "family,k",
+        [("conjecture", k) for k in range(3, 11)]
+        + [("prop61", k) for k in range(3, 13)]
+        + [("prop62", k) for k in range(4, 13, 2)],
+    )
+    def test_matches_chain_only(self, family, k, monkeypatch):
+        cells = _acceptance_cells(family, k)
+        fast = [classify(gens) for gens in cells]
+        fired = sum(
+            1 for gens in cells
+            if gens[0].degree >= 8 and engine._giant_certificate(gens)
+        )
+        monkeypatch.setattr(engine, "_giant_certificate", lambda gens: False)
+        assert [classify(gens) for gens in cells] == fast
+        # the comparison exercises the certificate, not only the fallback;
+        # the one allowed miss is the non-giant conjecture cell (3, 8)
+        assert fired >= len([g for g in cells if g[0].degree >= 8]) - 1
+
+    @pytest.mark.parametrize(
+        "name,gens,order", NON_GIANTS, ids=[c[0] for c in NON_GIANTS]
+    )
+    def test_never_fires_on_non_giant(self, name, gens, order):
+        assert not engine._giant_certificate(gens)
+        c = classify(gens)
+        chain_order = StabilizerChain(gens).order()
+        if order is None:
+            order = len(bfs_closure(gens))
+        assert c == engine.Classification("other", chain_order)
+        assert chain_order == order
+
+    @pytest.mark.parametrize("k,n", [(10, 140), (10, 160), (10, 180), (10, 200), (20, 200)])
+    def test_cliff_cells_certified(self, k, n):
+        gens, _ = conjecture_pair(k, n)
+        assert engine._giant_certificate(list(gens))
+        want = "alternating" if all(is_even(g) for g in gens) else "symmetric"
+        assert classify(list(gens)).kind == want
+
+    @pytest.mark.parametrize("k,n", [(5, 40), (3, 6), (3, 8)])
+    def test_global_random_state_untouched(self, k, n):
+        # (5, 40) is certified; (3, 6) and (3, 8) fall back to the chain
+        gens, _ = conjecture_pair(k, n)
+        random.seed(1234)
+        before = random.getstate()
+        classify(list(gens))
+        assert random.getstate() == before
+
+    def test_deterministic(self):
+        gens, _ = conjecture_pair(7, 128)
+        results = {engine._giant_certificate(list(gens)) for _ in range(3)}
+        assert len(results) == 1
 
 
 class TestOrbits:
