@@ -1,8 +1,9 @@
 """Content-addressed on-disk result cache.
 
-Keys hash (tool version, command, parameters, seed), so results from a
-different package version are never reused.  Writes go through a temp file
-plus os.replace, which is atomic on POSIX, so concurrent writers are safe.
+Keys hash (report schema, tool version, command, parameters, seed), so
+results from a different package version or report schema are never
+reused.  Writes go through a temp file plus os.replace, which is atomic on
+POSIX, so concurrent writers are safe.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import json
 import os
 import tempfile
 from pathlib import Path
+
+from . import report
 
 ENV_VAR = "TORSIONGEN_CACHE"
 
@@ -27,7 +30,13 @@ def cache_dir(explicit: str | os.PathLike | None = None) -> Path:
 
 def cache_key(version: str, command: str, params: dict, seed=None) -> str:
     payload = json.dumps(
-        {"version": version, "command": command, "params": params, "seed": seed},
+        {
+            "schema": report.SCHEMA_VERSION,
+            "version": version,
+            "command": command,
+            "params": params,
+            "seed": seed,
+        },
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()

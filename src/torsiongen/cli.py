@@ -1,12 +1,14 @@
 """Command-line surface: single-cell verification, grid sweeps, the Monte
 Carlo estimator, the mapping-class pipeline, and genus/symplectic queries.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage/domain error.
+Exit codes: 0 pass; 1 when a cell fails or a `VerificationFailure` is
+raised; 2 on a usage error or a `DomainError`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -29,20 +31,10 @@ from .curves import (
 from .engine import classify, jordan_certificate
 from .errors import (
     CaseUndefined,
-    HypothesisFailure,
-    InvalidDecomposition,
+    DomainError,
     InvalidParams,
-    InvalidSampler,
-    OddK,
-    OverlapError,
-    PlusOneUnsupported,
     RangeError,
-    RewriteStepInvalid,
-    SearchExhausted,
-    TorsionGenError,
-    TrialsZero,
-    UnsupportedK,
-    ZeroVector,
+    VerificationFailure,
 )
 from .estimate import SAMPLERS, estimate_generation
 from .families import (
@@ -61,20 +53,6 @@ from .sympl import generates_mod_p, humphries_classes, rotation_matrix, twist_tr
 FAMILIES = ("prop61", "prop62", "miller", "conjecture")
 
 KNOWN_EXCEPTIONS = {(3, 6), (3, 7), (3, 8)}
-
-DOMAIN_ERRORS = (
-    CaseUndefined,
-    InvalidDecomposition,
-    InvalidParams,
-    InvalidSampler,
-    OddK,
-    OverlapError,
-    PlusOneUnsupported,
-    RangeError,
-    TrialsZero,
-    UnsupportedK,
-    ZeroVector,
-)
 
 
 def _in_domain(family: str, k: int, n: int) -> bool:
@@ -222,7 +200,7 @@ def cmd_sweep(
                 stale.status,
                 stale.outcome,
             ):
-                raise TorsionGenError(
+                raise VerificationFailure(
                     f"cache corruption detected at ({k}, {n}); clear the cache"
                 )
     ordered = [cells[key] for key in sorted(cells)]
@@ -240,8 +218,20 @@ def cmd_sweep(
     )
 
 
-def cmd_estimate(k: int, n: int, trials: int, sampler: str, seed: int):
-    return estimate_generation(k, n, trials, sampler, seed)
+def cmd_estimate(k: int, n: int, trials: int, sampler: str, seed: int) -> SweepReport:
+    res = estimate_generation(k, n, trials, sampler, seed)
+    params = {"k": k, "n": n, "sampler": sampler, "trials": trials}
+    cell = ReportCell.of(
+        params,
+        "pass",
+        {
+            "successes": res.successes,
+            "estimate": res.estimate,
+            "ci_low": res.ci_low,
+            "ci_high": res.ci_high,
+        },
+    )
+    return SweepReport.of("estimate", params, [cell], __version__, seed=seed)
 
 
 def cmd_mcg(k: int, g: int, variant: str) -> SweepReport:
@@ -292,7 +282,7 @@ def cmd_mcg(k: int, g: int, variant: str) -> SweepReport:
     try:
         word = verify_lantern_word(actions)
         stage("lantern_word", "pass", word=str(word))
-    except (HypothesisFailure, RewriteStepInvalid) as exc:
+    except VerificationFailure as exc:
         stage("lantern_word", "fail", error=str(exc))
 
     rot = rotation_matrix(dec)
@@ -327,7 +317,7 @@ def cmd_sympl(k: int, g: int, p: int | None = None) -> SweepReport:
         ReportCell.of(
             {"k": k, "g": g, "stage": "rotation"},
             "pass" if order == k else "fail",
-            {"order": order, "dim": 2 * g, "form_preserved": True},
+            {"order": order, "dim": 2 * g},
         )
     ]
     if p is not None:
@@ -343,7 +333,10 @@ def cmd_sympl(k: int, g: int, p: int | None = None) -> SweepReport:
     return SweepReport.of("sympl", {"k": k, "g": g, "p": p}, cells, __version__)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Each subcommand stores its
+    handler as `run`; handlers look `cmd_*` up at call time."""
     parser = argparse.ArgumentParser(
         prog="torsiongen",
         description="Verification toolkit for order-k generating sets.",
@@ -351,15 +344,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(sp):
+    def add_common(sp, run):
         sp.add_argument("--format", choices=("json", "csv"), default="json")
+        # only sweep reads the cache; the option is accepted everywhere so
+        # one command line shape works for every subcommand
         sp.add_argument("--cache-dir", default=None)
+        sp.set_defaults(run=run)
 
     sp = sub.add_parser("verify", help="verify a single family instance")
     sp.add_argument("--family", choices=FAMILIES, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    add_common(sp)
+    add_common(sp, lambda a: cmd_verify(a.family, a.k, a.n))
 
     sp = sub.add_parser("sweep", help="grid sweep over (k, n)")
     sp.add_argument("--family", choices=FAMILIES, required=True)
@@ -368,7 +364,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--n-max", type=int, default=None)
     sp.add_argument("--jobs", type=int, default=1)
-    add_common(sp)
+    add_common(
+        sp,
+        lambda a: cmd_sweep(
+            a.family,
+            (a.k, a.k if a.k_max is None else a.k_max),
+            (a.n, a.n if a.n_max is None else a.n_max),
+            jobs=a.jobs,
+            cache_root=a.cache_dir,
+        ),
+    )
 
     sp = sub.add_parser("estimate", help="Monte Carlo generation probability")
     sp.add_argument("--k", type=int, required=True)
@@ -376,75 +381,40 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--sampler", choices=SAMPLERS, default="max_disjoint_k_cycles")
     sp.add_argument("--seed", type=int, default=0)
-    add_common(sp)
+    add_common(sp, lambda a: cmd_estimate(a.k, a.n, a.trials, a.sampler, a.seed))
 
     sp = sub.add_parser("mcg", help="mapping-class pipeline for (k, g)")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--g", type=int, required=True)
     sp.add_argument("--variant", choices=("four", "three"), required=True)
-    add_common(sp)
+    add_common(sp, lambda a: cmd_mcg(a.k, a.g, a.variant))
 
     sp = sub.add_parser("genus", help="genus decomposition query")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--g", type=int, required=True)
-    add_common(sp)
+    add_common(sp, lambda a: cmd_genus(a.k, a.g))
 
     sp = sub.add_parser("sympl", help="homology rotation / mod-p generation")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--g", type=int, required=True)
     sp.add_argument("--p", type=int, default=None)
-    add_common(sp)
+    add_common(sp, lambda a: cmd_sympl(a.k, a.g, a.p))
 
     return parser
-
-
-def _emit(report, fmt: str, out) -> None:
-    if hasattr(report, "as_dict") and not isinstance(report, SweepReport):
-        import json
-
-        out.write(json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n")
-        return
-    if fmt == "csv":
-        out.write(report.to_csv())
-    else:
-        out.write(report.to_json())
 
 
 def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.cmd == "verify":
-            report = cmd_verify(args.family, args.k, args.n)
-        elif args.cmd == "sweep":
-            k_max = args.k_max if args.k_max is not None else args.k
-            n_max = args.n_max if args.n_max is not None else args.n
-            report = cmd_sweep(
-                args.family,
-                (args.k, k_max),
-                (args.n, n_max),
-                jobs=args.jobs,
-                cache_root=args.cache_dir,
-            )
-        elif args.cmd == "estimate":
-            report = cmd_estimate(args.k, args.n, args.trials, args.sampler, args.seed)
-        elif args.cmd == "mcg":
-            report = cmd_mcg(args.k, args.g, args.variant)
-        elif args.cmd == "genus":
-            report = cmd_genus(args.k, args.g)
-        elif args.cmd == "sympl":
-            report = cmd_sympl(args.k, args.g, args.p)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise InvalidParams(f"unknown command {args.cmd!r}")
-    except DOMAIN_ERRORS as exc:
+        report = args.run(args)
+    except DomainError as exc:
         err.write(f"error: {exc}\n")
         return 2
-    except SearchExhausted as exc:
+    except VerificationFailure as exc:
         err.write(f"error: {exc}\n")
         return 1
-    _emit(report, args.format, out)
-    if isinstance(report, SweepReport) and not report.ok():
-        return 1
-    return 0
+    out.write(report.to_csv() if args.format == "csv" else report.to_json())
+    return 0 if report.ok() else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -237,14 +237,6 @@ class StabilizerChain:
         _, residue = self._sift_array(_to_array(p))
         return residue is None
 
-    def stabilizer_gens(self) -> list[Permutation]:
-        """Strong generators fixing the first base point."""
-        if len(self.levels) <= 1:
-            return []
-        return [
-            Permutation(tuple(int(v) for v in a)) for a in self.levels[1].gens
-        ]
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -374,28 +366,6 @@ def orbit(gens: list[Permutation], point: int) -> set[int]:
                     nxt.append(y)
         frontier = nxt
     return seen
-
-
-def is_two_transitive(gens: list[Permutation]) -> bool:
-    """Transitive with a point stabilizer acting transitively on the rest.
-
-    Uses the stabilizer strong generators from the chain instead of the
-    quadratic pair action.
-    """
-    n = gens[0].degree
-    if n < 2:
-        raise PointOutOfRange("degree must be >= 2")
-    if len(orbit(gens, 0)) != n:
-        return False
-    if n == 2:
-        return True
-    chain = StabilizerChain(gens)
-    stab = chain.stabilizer_gens()
-    if not stab:
-        return False
-    rest = orbit(stab, chain.levels[1].point)
-    rest.discard(0)
-    return len(rest) == n - 1
 
 
 def _min_block_size(arrays: list[Array], n: int, x: int) -> int:

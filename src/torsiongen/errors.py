@@ -1,89 +1,103 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Every concrete error derives from exactly one of two bases, and the CLI maps
+the base to its exit code: `DomainError` (exit 2) for input the caller can
+fix, `VerificationFailure` (exit 1) when the toolkit could not establish
+the claim.
+"""
 
 
 class TorsionGenError(Exception):
     """Base class for all toolkit errors."""
 
 
-class MalformedCycle(TorsionGenError):
+class DomainError(TorsionGenError):
+    """The input is outside what the toolkit accepts (exit code 2)."""
+
+
+class VerificationFailure(TorsionGenError):
+    """The claim could not be established (exit code 1)."""
+
+
+class MalformedCycle(DomainError):
     pass
 
 
-class PointOutOfRange(TorsionGenError):
+class PointOutOfRange(DomainError):
     pass
 
 
-class RepeatedPoint(TorsionGenError):
+class RepeatedPoint(DomainError):
     pass
 
 
-class DegreeMismatch(TorsionGenError):
+class DegreeMismatch(DomainError):
     pass
 
 
-class EmptyGeneratorList(TorsionGenError):
+class EmptyGeneratorList(DomainError):
     pass
 
 
-class InvalidParams(TorsionGenError):
+class InvalidParams(DomainError):
     pass
 
 
-class OverlapError(TorsionGenError):
+class OverlapError(DomainError):
     pass
 
 
-class RangeError(TorsionGenError):
+class RangeError(DomainError):
     pass
 
 
-class OddK(TorsionGenError):
+class OddK(DomainError):
     pass
 
 
-class SearchExhausted(TorsionGenError):
+class SearchExhausted(VerificationFailure):
     pass
 
 
-class CaseUndefined(TorsionGenError):
+class CaseUndefined(DomainError):
     pass
 
 
-class InvalidDecomposition(TorsionGenError):
+class InvalidDecomposition(DomainError):
     pass
 
 
-class UnsupportedK(TorsionGenError):
+class UnsupportedK(DomainError):
     pass
 
 
-class PlusOneUnsupported(TorsionGenError):
+class PlusOneUnsupported(DomainError):
     pass
 
 
-class ZeroVector(TorsionGenError):
+class ZeroVector(DomainError):
     pass
 
 
-class TooLarge(TorsionGenError):
+class TooLarge(DomainError):
     pass
 
 
-class MissingLanternData(TorsionGenError):
+class MissingLanternData(DomainError):
     pass
 
 
-class HypothesisFailure(TorsionGenError):
+class HypothesisFailure(VerificationFailure):
     pass
 
 
-class RewriteStepInvalid(TorsionGenError):
+class RewriteStepInvalid(VerificationFailure):
     pass
 
 
-class InvalidSampler(TorsionGenError):
+class InvalidSampler(DomainError):
     pass
 
 
-class TrialsZero(TorsionGenError):
+class TrialsZero(DomainError):
     pass

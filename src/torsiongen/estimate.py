@@ -19,6 +19,9 @@ from .perms import Permutation, is_even, order_of
 
 SAMPLERS = ("max_disjoint_k_cycles", "uniform_order_k")
 
+# Uniform draws the rejection sampler makes before it gives up on one sample.
+MAX_REJECTS = 1_000_000
+
 _Z95 = 1.959963984540054
 
 
@@ -50,17 +53,38 @@ def sample_max_disjoint_k_cycles(rng: np.random.Generator, k: int, n: int) -> Pe
     return Permutation(tuple(images))
 
 
-def sample_uniform_order_k(
-    rng: np.random.Generator, k: int, n: int, max_rejects: int = 1_000_000
-) -> Permutation:
+def sample_uniform_order_k(rng: np.random.Generator, k: int, n: int) -> Permutation:
     """Rejection sampling from uniform permutations, accepting order k."""
-    for _ in range(max_rejects):
+    for _ in range(MAX_REJECTS):
         p = Permutation(tuple(int(x) for x in rng.permutation(n)))
         if order_of(p) == k:
             return p
     raise InvalidParams(
-        f"no order-{k} permutation found in {max_rejects} uniform samples (n={n})"
+        f"no order-{k} permutation found in {MAX_REJECTS} uniform samples (n={n})"
     )
+
+
+def _divisors(m: int) -> list[int]:
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def count_order_k(k: int, n: int) -> int:
+    """Exact number of permutations of degree n with order exactly k.
+
+    Permutations whose cycle lengths all divide d have the exponential
+    generating function exp(sum_{j | d} x^j / j), so their number a(m)
+    satisfies a(m) = sum_{j | d, j <= m} (m-1)!/(m-j)! * a(m-j).  Their
+    orders are the divisors of d, so subtracting the exact counts of the
+    proper divisors (Moebius inversion) leaves order exactly d.
+    """
+    exact: dict[int, int] = {}
+    for d in _divisors(k):
+        lengths = _divisors(d)
+        a = [1]
+        for m in range(1, n + 1):
+            a.append(sum(math.perm(m - 1, j - 1) * a[m - j] for j in lengths if j <= m))
+        exact[d] = a[n] - sum(c for e, c in exact.items() if d % e == 0)
+    return exact[k]
 
 
 _SAMPLER_FNS = {
@@ -87,19 +111,6 @@ class EstimatorResult:
         if not self.ci_low <= self.estimate <= self.ci_high:
             raise InvalidParams("interval must contain the point estimate")
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "sampler": self.sampler,
-            "trials": self.trials,
-            "successes": self.successes,
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "seed": self.seed,
-        }
-
 
 def estimate_generation(
     k: int, n: int, trials: int, sampler: str, seed: int
@@ -113,6 +124,16 @@ def estimate_generation(
         raise TrialsZero(f"need trials >= 1, got {trials}")
     if not 2 <= k <= n:
         raise InvalidParams(f"need 2 <= k <= n, got k={k}, n={n}")
+    if sampler == "uniform_order_k":
+        # expected draws per accepted sample is n!/count; refuse up front
+        # when that is beyond the rejection budget instead of sampling
+        count = count_order_k(k, n)
+        if math.factorial(n) > MAX_REJECTS * count:
+            raise InvalidParams(
+                f"order-{k} permutations are 1 in "
+                f"{math.factorial(n) / count:.3g} of S_{n}, beyond the "
+                f"{MAX_REJECTS} rejection draws per sample"
+            )
     draw = _SAMPLER_FNS[sampler]
     rng = np.random.default_rng(seed)
     successes = 0

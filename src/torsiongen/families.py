@@ -83,7 +83,11 @@ def prop61_generators(k: int, n: int):
     return (a, b, c), case
 
 
-def miller_small_pair(k: int, n: int, budget: int = 500_000):
+# Arbitrary k-cycles the Miller search tries after the step-cycle pairs.
+MILLER_BUDGET = 500_000
+
+
+def miller_small_pair(k: int, n: int):
     """Two k-cycles generating S_n (k even) / A_n (k odd), n <= 2k-1.
 
     Certified by the group engine; searched over step-cycle pairs first,
@@ -104,7 +108,7 @@ def miller_small_pair(k: int, n: int, budget: int = 500_000):
     tried = 0
     for second in _k_cycles_lex(k, n):
         tried += 1
-        if tried > budget:
+        if tried > MILLER_BUDGET:
             break
         if certified(first, second):
             return first, second

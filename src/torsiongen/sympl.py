@@ -18,7 +18,10 @@ from .genus import GenusDecomposition
 Array = np.ndarray
 
 
-def _form(g: int) -> Array:
+def standard_form(g: int) -> Array:
+    """The symplectic form J on the interleaved basis; J^2 = -Identity."""
+    if g < 1:
+        raise RangeError(f"need g >= 1, got {g}")
     j = np.zeros((2 * g, 2 * g), dtype=np.int64)
     for i in range(g):
         j[2 * i, 2 * i + 1] = 1
@@ -39,7 +42,7 @@ class SymplecticMatrix:
             raise InvalidDecomposition(
                 f"expected shape {(2 * self.g,) * 2}, got {m.shape}"
             )
-        j = _form(self.g)
+        j = standard_form(self.g)
         if not np.array_equal(m.T @ j @ m, j):
             raise InvalidDecomposition("matrix does not preserve the form")
 
@@ -52,17 +55,8 @@ class SymplecticMatrix:
     def np(self) -> Array:
         return np.array(self.entries, dtype=np.int64)
 
-    @classmethod
-    def identity(cls, g: int) -> "SymplecticMatrix":
-        return cls.from_array(np.eye(2 * g, dtype=np.int64))
-
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         return SymplecticMatrix.from_array(self.np @ other.np)
-
-    def inverse(self) -> "SymplecticMatrix":
-        # J^-1 M^T J is the symplectic inverse, exactly over the integers
-        j = _form(self.g)
-        return SymplecticMatrix.from_array(-j @ self.np.T @ j)
 
     def order(self, cap: int = 10_000) -> int | None:
         """Multiplicative order, or None if it exceeds cap."""
@@ -73,74 +67,6 @@ class SymplecticMatrix:
                 return m
             acc = acc @ self.np
         return None
-
-    def to_text(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
-
-    @classmethod
-    def from_text(cls, text: str) -> "SymplecticMatrix":
-        rows = [
-            [int(tok) for tok in line.split()]
-            for line in text.strip().splitlines()
-            if line.strip()
-        ]
-        return cls.from_array(np.array(rows, dtype=np.int64))
-
-    def to_json(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
-    @classmethod
-    def from_json(cls, data) -> "SymplecticMatrix":
-        return cls.from_array(np.array(data, dtype=np.int64))
-
-
-@dataclass(frozen=True)
-class HomologyBasis:
-    """Ordered class labels for the 2g basis vectors, grouped by piece."""
-
-    g: int
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.labels) != 2 * self.g:
-            raise InvalidDecomposition(
-                f"expected {2 * self.g} labels, got {len(self.labels)}"
-            )
-
-    def vector(self, label: str) -> Array:
-        v = np.zeros(2 * self.g, dtype=np.int64)
-        v[self.labels.index(label)] = 1
-        return v
-
-
-def standard_form(g: int) -> Array:
-    """The symplectic form J on the interleaved basis; J^2 = -Identity."""
-    if g < 1:
-        raise RangeError(f"need g >= 1, got {g}")
-    return _form(g)
-
-
-def standard_basis(g: int) -> HomologyBasis:
-    labels = []
-    for i in range(1, g + 1):
-        labels += [f"a{i}", f"b{i}"]
-    return HomologyBasis(g, tuple(labels))
-
-
-def basis_for(dec: GenusDecomposition) -> HomologyBasis:
-    """Piece-grouped labels: handle pairs (a, b) on genus-k pieces, tube
-    pairs (c, d) on genus-(k-1) pieces, one extra pair for plus_one."""
-    labels = []
-    for p in range(dec.a):
-        for i in range(1, dec.k + 1):
-            labels += [f"p{p}:a{i}", f"p{p}:b{i}"]
-    for p in range(dec.a, dec.a + dec.b):
-        for i in range(1, dec.k):
-            labels += [f"p{p}:c{i}", f"p{p}:d{i}"]
-    if dec.plus_one:
-        labels += ["axis:a", "axis:b"]
-    return HomologyBasis(dec.genus(), tuple(labels))
-
 
 def _interleave(c_block: Array, d_block: Array) -> Array:
     """Combine actions on the a-type and b-type halves of interleaved pairs."""
@@ -198,16 +124,15 @@ def rotation_matrix(dec: GenusDecomposition) -> SymplecticMatrix:
     return SymplecticMatrix.from_array(out)
 
 
-def twist_transvection(basis: HomologyBasis | int, v) -> SymplecticMatrix:
+def twist_transvection(g: int, v) -> SymplecticMatrix:
     """x -> x + <x, v> v, the homology image of the Dehn twist along v."""
-    g = basis if isinstance(basis, int) else basis.g
     v = np.asarray(v, dtype=np.int64)
     if v.shape != (2 * g,):
         raise InvalidDecomposition(f"expected vector of length {2 * g}")
     if not v.any():
         raise ZeroVector("cannot twist along the zero class")
     # <x, v> v = v (v^T J^T x) = (v (J v)^T) x, so M = I + outer(v, J v)
-    j = _form(g)
+    j = standard_form(g)
     m = np.eye(2 * g, dtype=np.int64) + np.outer(v, j @ v)
     return SymplecticMatrix.from_array(m)
 
@@ -220,25 +145,14 @@ def humphries_classes(g: int) -> list[Array]:
     """
     if g < 2:
         raise RangeError(f"need g >= 2, got {g}")
-    basis = standard_basis(g)
+    e = np.eye(2 * g, dtype=np.int64)  # rows a_1, b_1, a_2, b_2, ...
     out = []
-    for i in range(1, g + 1):
-        out.append(basis.vector(f"a{i}"))
-        if i < g:
-            out.append(basis.vector(f"b{i}") - basis.vector(f"b{i + 1}"))
-    out.append(basis.vector("b1"))
-    out.append(basis.vector("b2"))
-    return out
-
-
-def humphries_labels(g: int) -> list[str]:
-    """Labels aligned with humphries_classes order."""
-    out = []
-    for i in range(1, g + 1):
-        out.append(f"beta{i}")
-        if i < g:
-            out.append(f"gamma{i}")
-    out += ["alpha1", "alpha2"]
+    for i in range(g):
+        out.append(e[2 * i])
+        if i < g - 1:
+            out.append(e[2 * i + 1] - e[2 * i + 3])
+    out.append(e[1])
+    out.append(e[3])
     return out
 
 
@@ -250,9 +164,11 @@ def sp_order(g: int, p: int) -> int:
     return order
 
 
-def generates_mod_p(
-    mats: list[SymplecticMatrix], p: int, budget: int = 2_000_000
-) -> tuple[bool, int]:
+# Largest group order, and closure size, the mod-p enumeration will visit.
+MODP_BUDGET = 2_000_000
+
+
+def generates_mod_p(mats: list[SymplecticMatrix], p: int) -> tuple[bool, int]:
     """Reduce mod p and enumerate the generated matrix group by BFS.
 
     Returns (order equals |Sp(2g, p)|, enumerated order).  Raises TooLarge
@@ -265,9 +181,9 @@ def generates_mod_p(
     if g > 3 or p not in (2, 3):
         raise TooLarge(f"enumeration limited to g <= 3, p in {{2, 3}}; got g={g}, p={p}")
     target = sp_order(g, p)
-    if target > budget:
+    if target > MODP_BUDGET:
         raise TooLarge(
-            f"|Sp({2 * g},{p})| = {target} exceeds enumeration budget {budget}"
+            f"|Sp({2 * g},{p})| = {target} exceeds enumeration budget {MODP_BUDGET}"
         )
     gens = [np.mod(m.np, p).astype(np.int8) for m in mats]
     ident = np.mod(np.eye(2 * g, dtype=np.int64), p).astype(np.int8)
@@ -280,7 +196,7 @@ def generates_mod_p(
                 r = np.mod(m @ q.astype(np.int64), p).astype(np.int8)
                 key = r.tobytes()
                 if key not in seen:
-                    if len(seen) >= budget:
+                    if len(seen) >= MODP_BUDGET:
                         raise TooLarge("closure exceeded enumeration budget")
                     seen.add(key)
                     nxt.append(r)

@@ -1,13 +1,16 @@
 """CLI surface, reports, and cache: exit codes, determinism, round trips."""
 
+import inspect
 import io
 import json
+import time
 
 import pytest
 
-from torsiongen import __version__
+from torsiongen import __version__, errors, report
 from torsiongen.cache import cache_dir, cache_key, get as cache_get, put as cache_put
 from torsiongen.cli import (
+    _build_parser,
     cmd_genus,
     cmd_mcg,
     cmd_sweep,
@@ -64,6 +67,11 @@ class TestCache:
         assert k1 != cache_key("1", "verify", {"k": 4})
         assert k1 == cache_key("1", "verify", {"k": 3})
 
+    def test_key_depends_on_schema(self, monkeypatch):
+        k1 = cache_key("1", "verify", {"k": 3})
+        monkeypatch.setattr(report, "SCHEMA_VERSION", report.SCHEMA_VERSION + 1)
+        assert cache_key("1", "verify", {"k": 3}) != k1
+
     def test_round_trip(self, tmp_path):
         key = cache_key("1", "c", {"x": 1})
         assert cache_get(tmp_path, key) is None
@@ -89,6 +97,20 @@ class TestCache:
         rep = cmd_sweep("conjecture", (5, 5), (9, 9), cache_root=tmp_path)
         assert rep.to_json() == fresh.to_json()
         assert cache_get(tmp_path, key) == fresh.cells[0].as_dict()
+
+
+    def test_altered_entry_is_cache_corruption(self, tmp_path):
+        argv = [
+            "sweep", "--family", "conjecture", "--k", "5", "--n", "9",
+            "--cache-dir", str(tmp_path),
+        ]
+        assert run(argv)[0] == 0
+        key = cache_key(__version__, "verify/conjecture", {"k": 5, "n": 9})
+        entry = cache_get(tmp_path, key)
+        cache_put(tmp_path, key, {**entry, "status": "fail"})
+        code, out, err = run(argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: cache corruption")
 
 
 class TestVerify:
@@ -238,3 +260,65 @@ class TestMainExitCodes:
         _, out1, _ = run(argv)
         _, out2, _ = run(argv)
         assert out1 == out2
+
+    def test_sympl_too_large_is_two(self):
+        code, out, err = run(["sympl", "--k", "2", "--g", "4", "--p", "2"])
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_estimate_csv_format(self):
+        code, out, _ = run([
+            "estimate", "--k", "3", "--n", "9", "--trials", "5", "--format", "csv",
+        ])
+        assert code == 0
+        header, row = out.splitlines()
+        assert header == "k,n,sampler,trials,status,ci_high,ci_low,estimate,successes"
+        assert row.startswith("3,9,max_disjoint_k_cycles,5,pass,")
+
+    def test_estimate_is_a_seeded_report(self):
+        code, out, _ = run(["estimate", "--k", "3", "--n", "9", "--trials", "5", "--seed", "4"])
+        data = json.loads(out)
+        assert code == 0 and data["command"] == "estimate" and data["seed"] == 4
+        assert data["summary"]["pass"] == 1
+
+    def test_uniform_sampler_infeasible_fails_fast(self):
+        start = time.perf_counter()
+        code, out, err = run([
+            "estimate", "--k", "3", "--n", "30", "--trials", "10",
+            "--sampler", "uniform_order_k",
+        ])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and "rejection" in err
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_back_to_back_calls_match_fresh_parser(self, tmp_path):
+        commands = [
+            ["sweep", "--family", "prop61", "--k", "3", "--k-max", "4",
+             "--n", "6", "--n-max", "9", "--cache-dir", str(tmp_path / "a")],
+            ["sweep", "--family", "prop61", "--k", "3", "--n", "6",
+             "--cache-dir", str(tmp_path / "b")],
+            ["mcg", "--k", "5", "--g", "18", "--variant", "four"],
+        ]
+        reused = [run(argv) for argv in commands]
+        fresh = []
+        for argv in commands:
+            _build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh
+        assert json.loads(reused[1][1])["params"]["k_max"] == 3
+
+
+def test_every_error_has_exactly_one_base():
+    bases = {errors.TorsionGenError, errors.DomainError, errors.VerificationFailure}
+    classes = [
+        c for _, c in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(c, errors.TorsionGenError) and c not in bases
+    ]
+    assert len(classes) == 21
+    for cls in classes:
+        assert issubclass(cls, errors.DomainError) != issubclass(
+            cls, errors.VerificationFailure
+        ), cls.__name__

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from torsiongen.engine import classify
 from torsiongen.errors import InvalidParams, InvalidSampler, TrialsZero
 from torsiongen.estimate import (
+    MAX_REJECTS,
     EstimatorResult,
+    count_order_k,
     estimate_generation,
     sample_max_disjoint_k_cycles,
     sample_uniform_order_k,
@@ -81,6 +83,22 @@ class TestSamplers:
             for _ in range(60)
         }
         assert len(shapes) > 1
+
+
+class TestCountOrderK:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_enumeration(self, n):
+        orders = [
+            order_of(Permutation(images))
+            for images in itertools.permutations(range(n))
+        ]
+        for k in range(1, 13):
+            assert count_order_k(k, n) == orders.count(k), (k, n)
+
+    def test_order_three_shares(self):
+        # n!/count: feasible at n = 9, far beyond the rejection budget at 30
+        assert math.factorial(9) / count_order_k(3, 9) == pytest.approx(62.9, abs=0.05)
+        assert math.factorial(30) / count_order_k(3, 30) > 1e10 > MAX_REJECTS
 
 
 class TestEstimateGeneration:
