@@ -3,7 +3,9 @@ transvections, Humphries classes, and mod-p generation checks.
 
 Basis convention: interleaved symplectic pairs (a1, b1, a2, b2, ...), so the
 standard form J is block-diagonal with 2x2 blocks [[0, 1], [-1, 0]].  All
-arithmetic is exact integer arithmetic.
+arithmetic is exact: an int64 product that could wrap raises TooLarge.  Mod-p
+generation is a StabilizerChain order on the p^(2g) vectors of F_p^(2g); a
+matrix fixing every vector is the identity, so that action is faithful.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDecomposition, RangeError, TooLarge, ZeroVector
+from .engine import StabilizerChain, _is_prime
+from .errors import InvalidDecomposition, InvalidParams, RangeError, TooLarge, ZeroVector
 from .genus import GenusDecomposition
+from .perms import Permutation
 
 Array = np.ndarray
 
@@ -27,6 +31,14 @@ def standard_form(g: int) -> Array:
         j[2 * i, 2 * i + 1] = 1
         j[2 * i + 1, 2 * i] = -1
     return j
+
+
+def _exact_matmul(a: Array, b: Array) -> Array:
+    """a @ b, refused unless n * max|a| * max|b| < 2^63 bounds every entry."""
+    size_a, size_b = max(int(a.max()), -int(a.min())), max(int(b.max()), -int(b.min()))
+    if a.shape[1] * size_a * size_b >= 2**63:
+        raise TooLarge("integer matrix product could overflow int64")
+    return a @ b
 
 
 @dataclass(frozen=True)
@@ -43,7 +55,7 @@ class SymplecticMatrix:
                 f"expected shape {(2 * self.g,) * 2}, got {m.shape}"
             )
         j = standard_form(self.g)
-        if not np.array_equal(m.T @ j @ m, j):
+        if not np.array_equal(_exact_matmul(_exact_matmul(m.T, j), m), j):
             raise InvalidDecomposition("matrix does not preserve the form")
 
     @classmethod
@@ -55,17 +67,15 @@ class SymplecticMatrix:
     def np(self) -> Array:
         return np.array(self.entries, dtype=np.int64)
 
-    def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        return SymplecticMatrix.from_array(self.np @ other.np)
-
     def order(self, cap: int = 10_000) -> int | None:
-        """Multiplicative order, or None if it exceeds cap."""
+        """Multiplicative order, or None if it exceeds cap.  Raises TooLarge
+        when a power's entries grow past what int64 holds exactly."""
         ident = np.eye(2 * self.g, dtype=np.int64)
-        acc = self.np
-        for m in range(1, cap + 1):
+        acc = m = self.np
+        for k in range(1, cap + 1):
             if np.array_equal(acc, ident):
-                return m
-            acc = acc @ self.np
+                return k
+            acc = _exact_matmul(acc, m)
         return None
 
 def _interleave(c_block: Array, d_block: Array) -> Array:
@@ -99,8 +109,7 @@ def _genus_k_minus_1_block(k: int) -> Array:
     for i in range(m - 1):
         c[i + 1, i] = 1
     c[:, m - 1] = -1
-    c_inv = np.round(np.linalg.inv(c)).astype(np.int64)
-    assert np.array_equal(c @ c_inv, np.eye(m, dtype=np.int64))
+    c_inv = np.linalg.matrix_power(c, k - 1)  # exact: C^k = I
     return _interleave(c, c_inv.T)
 
 
@@ -164,41 +173,31 @@ def sp_order(g: int, p: int) -> int:
     return order
 
 
-# Largest group order, and closure size, the mod-p enumeration will visit.
-MODP_BUDGET = 2_000_000
+# Largest vector space F_p^(2g), in points, that generates_mod_p acts on.
+MODP_POINTS = 1024
 
 
 def generates_mod_p(mats: list[SymplecticMatrix], p: int) -> tuple[bool, int]:
-    """Reduce mod p and enumerate the generated matrix group by BFS.
+    """(order equals |Sp(2g, p)|, order) for the group generated mod p.
 
-    Returns (order equals |Sp(2g, p)|, enumerated order).  Raises TooLarge
-    when parameters put |Sp(2g, p)| or the closure beyond the enumeration
-    budget.
-    """
+    The order is that of the StabilizerChain on the p^(2g) vectors of
+    F_p^(2g), and it is exact: only the identity matrix fixes every vector,
+    so the action is faithful.  Before building anything, raises
+    InvalidParams unless p is prime and TooLarge if p^(2g) > MODP_POINTS."""
     if not mats:
         raise ZeroVector("need at least one matrix")
+    if not _is_prime(p):
+        raise InvalidParams(f"p must be a prime, got {p}")
     g = mats[0].g
-    if g > 3 or p not in (2, 3):
-        raise TooLarge(f"enumeration limited to g <= 3, p in {{2, 3}}; got g={g}, p={p}")
-    target = sp_order(g, p)
-    if target > MODP_BUDGET:
-        raise TooLarge(
-            f"|Sp({2 * g},{p})| = {target} exceeds enumeration budget {MODP_BUDGET}"
-        )
-    gens = [np.mod(m.np, p).astype(np.int8) for m in mats]
-    ident = np.mod(np.eye(2 * g, dtype=np.int64), p).astype(np.int8)
-    seen = {ident.tobytes()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for q in gens:
-                r = np.mod(m @ q.astype(np.int64), p).astype(np.int8)
-                key = r.tobytes()
-                if key not in seen:
-                    if len(seen) >= MODP_BUDGET:
-                        raise TooLarge("closure exceeded enumeration budget")
-                    seen.add(key)
-                    nxt.append(r)
-        frontier = nxt
-    return len(seen) == target, len(seen)
+    points = p ** (2 * g)
+    if points > MODP_POINTS:
+        raise TooLarge(f"F_{p}^{2 * g} has {points} points > {MODP_POINTS}")
+    # column x of vecs is the vector with base-p digits of x, low digit first
+    weights = p ** np.arange(2 * g, dtype=np.int64)
+    vecs = np.arange(points, dtype=np.int64) // weights[:, None] % p
+    perms = [
+        Permutation(tuple((weights @ (np.mod(m.np, p) @ vecs % p)).tolist()))
+        for m in mats
+    ]
+    order = StabilizerChain(perms).order()
+    return order == sp_order(g, p), order

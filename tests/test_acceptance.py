@@ -192,6 +192,11 @@ def test_criterion_7_symplectic_mod_p():
     ok2, order2 = generates_mod_p(ts, 2)
     checks = [ok2 and order2 == 720]
     detail = [f"Sp(4,2) order {order2}"]
+    for g, p in ((2, 3), (3, 2), (4, 2), (3, 3)):
+        tg = [twist_transvection(g, v) for v in humphries_classes(g)]
+        okg, orderg = generates_mod_p(tg, p)
+        checks.append(okg and orderg == sp_order(g, p))
+        detail.append(f"Sp({2 * g},{p}) order {orderg}")
     sl2 = [twist_transvection(1, [1, 0]), twist_transvection(1, [0, 1])]
     for p in (2, 3):
         okp, orderp = generates_mod_p(sl2, p)

@@ -262,8 +262,24 @@ class TestMainExitCodes:
         assert out1 == out2
 
     def test_sympl_too_large_is_two(self):
-        code, out, err = run(["sympl", "--k", "2", "--g", "4", "--p", "2"])
+        code, out, err = run(["sympl", "--k", "2", "--g", "6", "--p", "2"])
         assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("p", ["0", "1", "4"])
+    def test_sympl_non_prime_p_is_two(self, p):
+        code, out, err = run(["sympl", "--k", "2", "--g", "2", "--p", p])
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_sympl_sp4_5_passes(self):
+        code, out, _ = run(["sympl", "--k", "2", "--g", "2", "--p", "5"])
+        mod = json.loads(out)["cells"][1]["outcome"]
+        assert code == 0 and mod == {"generates": True, "group_order": 9360000}
+
+    def test_sympl_sp6_2_is_fast(self):
+        start = time.perf_counter()
+        code, out, _ = run(["sympl", "--k", "3", "--g", "3", "--p", "2"])
+        assert time.perf_counter() - start < 10
+        assert code == 0 and json.loads(out)["cells"][1]["outcome"]["group_order"] == 1451520
 
     def test_estimate_csv_format(self):
         code, out, _ = run([

@@ -1,6 +1,7 @@
 """Symplectic matrices: rotation blocks, transvections, Humphries classes,
-mod-p generation.  Oracles: brute-force enumeration of Sp(2,p) at g=1 and
-exact integer form checks everywhere.
+mod-p generation.  Oracles: brute-force enumeration of Sp(2,p) at g=1,
+breadth-first closure of matrix groups mod p, and exact integer form checks
+everywhere.
 """
 
 import itertools
@@ -10,6 +11,7 @@ import pytest
 
 from torsiongen.errors import (
     InvalidDecomposition,
+    InvalidParams,
     RangeError,
     TooLarge,
     ZeroVector,
@@ -35,6 +37,24 @@ def brute_sp2(p):
         if np.array_equal(np.mod(m.T @ j @ m, p), np.mod(j, p)):
             count += 1
     return count
+
+
+def matrix_closure(mats, p):
+    """Order of the matrix group generated mod p, by breadth-first closure
+    over the matrices themselves (independent of the permutation engine)."""
+    gens = [np.mod(m.np, p) for m in mats]
+    ident = np.eye(2 * mats[0].g, dtype=np.int64)
+    seen = {ident.tobytes()}
+    frontier = [ident]
+    while frontier:
+        products = np.mod(np.stack(frontier) @ np.stack(gens)[:, None], p)
+        frontier = []
+        for r in products.reshape(-1, *ident.shape):
+            key = r.tobytes()
+            if key not in seen:
+                seen.add(key)
+                frontier.append(r)
+    return len(seen)
 
 
 def identity(g):
@@ -64,6 +84,21 @@ class TestSymplecticMatrix:
     def test_rejects_non_symplectic(self):
         with pytest.raises(InvalidDecomposition):
             SymplecticMatrix.from_array(np.array([[2, 0], [0, 1]]))
+
+    def test_order_refuses_int64_overflow(self):
+        # infinite order; exact entries of the 46th power pass 2^63
+        m = SymplecticMatrix.from_array([[2, 1], [1, 1]])
+        with pytest.raises(TooLarge):
+            m.order(10_000)
+
+    def test_form_check_refuses_int64_overflow(self):
+        with pytest.raises(TooLarge):
+            SymplecticMatrix.from_array([[1, 2**62], [0, 1]])
+
+    def test_order_below_int64_limit(self):
+        # order(44) forms powers up to the 45th, whose entries fit in int64
+        m = SymplecticMatrix.from_array([[2, 1], [1, 1]])
+        assert m.order(44) is None
 
     def test_determinant_one_small(self):
         for dec in [GenusDecomposition(5, 1, 0), GenusDecomposition(5, 0, 1)]:
@@ -127,14 +162,14 @@ class TestTwistTransvection:
         v = np.array([1, 2, 0, 1], dtype=np.int64)
         t = twist_transvection(2, v)
         inv = SymplecticMatrix.from_array(2 * np.eye(4, dtype=np.int64) - t.np)
-        assert t @ inv == identity(2)
+        assert np.array_equal(t.np @ inv.np, np.eye(4, dtype=np.int64))
 
     def test_disjoint_classes_commute(self):
         u, v = np.eye(4, dtype=np.int64)[[0, 2]]  # a1, a2
         j = standard_form(2)
         assert int(u @ j @ v) == 0
         tu, tv = twist_transvection(2, u), twist_transvection(2, v)
-        assert tu @ tv == tv @ tu
+        assert np.array_equal(tu.np @ tv.np, tv.np @ tu.np)
 
     def test_fixes_pairing_kernel(self):
         v = np.eye(4, dtype=np.int64)[0]  # a1
@@ -222,6 +257,34 @@ class TestGeneratesModP:
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            generates_mod_p([identity(4)], 2)
+            generates_mod_p([identity(6)], 2)  # 4096 points
         with pytest.raises(TooLarge):
-            generates_mod_p([identity(3)], 3)  # Sp(6,3) huge
+            generates_mod_p([identity(3)], 5)  # 15625 points
+
+    @pytest.mark.parametrize("p", [-2, 0, 1, 4, 9])
+    def test_p_must_be_prime(self, p):
+        with pytest.raises(InvalidParams):
+            generates_mod_p([identity(1)], p)
+
+
+def _oracle_cases():
+    ts = [twist_transvection(2, v) for v in humphries_classes(2)]
+    cases = []
+    for p in (2, 3):
+        cases.append(pytest.param(ts, p, id=f"humphries-g2-p{p}"))
+        for drop in range(len(ts)):
+            rest = ts[:drop] + ts[drop + 1 :]
+            cases.append(pytest.param(rest, p, id=f"humphries-g2-p{p}-minus{drop}"))
+    rot = rotation_matrix(GenusDecomposition(3, 1, 0))
+    sl2 = [twist_transvection(1, [1, 0]), twist_transvection(1, [0, 1])]
+    cases += [pytest.param([rot], p, id=f"rotation-g3-p{p}") for p in (2, 3)]
+    cases.append(pytest.param([identity(2)], 3, id="identity-g2-p3"))
+    cases += [pytest.param(sl2, p, id=f"sl2-p{p}") for p in (2, 3, 5, 7)]
+    return cases
+
+
+@pytest.mark.parametrize("mats, p", _oracle_cases())
+def test_order_matches_matrix_closure(mats, p):
+    order = matrix_closure(mats, p)
+    g = mats[0].g
+    assert generates_mod_p(mats, p) == (order == sp_order(g, p), order)
