@@ -3,7 +3,7 @@
 
 The acceptance gate covers k <= 10, n <= 100; this script reproduces the
 larger published grid.  Almost every cell is settled by the giant
-certificate in `classify`, so a cold run takes minutes on one core, not
+certificate in `classify`, so a cold run takes seconds on one core, not
 hours.  Results are cached, so interrupted runs resume cheaply.  The total
 time and the slowest freshly computed cell go to stderr.
 

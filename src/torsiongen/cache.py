@@ -51,7 +51,7 @@ def get(root: Path, key: str) -> dict | None:
     try:
         with path.open() as fh:
             return json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError):
+    except (FileNotFoundError, ValueError):  # bad UTF-8 or JSON is a miss too
         return None
 
 

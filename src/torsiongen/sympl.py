@@ -3,13 +3,16 @@ transvections, Humphries classes, and mod-p generation checks.
 
 Basis convention: interleaved symplectic pairs (a1, b1, a2, b2, ...), so the
 standard form J is block-diagonal with 2x2 blocks [[0, 1], [-1, 0]].  All
-arithmetic is exact: an int64 product that could wrap raises TooLarge.  Mod-p
-generation is a StabilizerChain order on the p^(2g) vectors of F_p^(2g); a
-matrix fixing every vector is the identity, so that action is faithful.
+arithmetic is exact: an int64 product that could wrap raises TooLarge.  The
+homology rotation is a BlockRotation, at most three distinct blocks of size
+at most 2k, never a dense 2g x 2g matrix.  Mod-p generation is a
+StabilizerChain order on the p^(2g) vectors of F_p^(2g); a matrix fixing
+every vector is the identity, so that action is faithful.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +78,10 @@ class SymplecticMatrix:
         for k in range(1, cap + 1):
             if np.array_equal(acc, ident):
                 return k
-            acc = _exact_matmul(acc, m)
+            if k < cap:
+                acc = _exact_matmul(acc, m)
         return None
+
 
 def _interleave(c_block: Array, d_block: Array) -> Array:
     """Combine actions on the a-type and b-type halves of interleaved pairs."""
@@ -113,24 +118,50 @@ def _genus_k_minus_1_block(k: int) -> Array:
     return _interleave(c, c_inv.T)
 
 
-def rotation_matrix(dec: GenusDecomposition) -> SymplecticMatrix:
-    """Homology action of the order-k rotation of the decomposed surface:
-    block-diagonal over pieces, identity on the plus_one axis handle."""
-    if dec.k < 2:
-        raise InvalidDecomposition(f"need k >= 2, got {dec.k}")
-    blocks = [_genus_k_block(dec.k)] * dec.a + [
-        _genus_k_minus_1_block(dec.k)
-    ] * dec.b
-    if dec.plus_one:
-        blocks.append(np.eye(2, dtype=np.int64))
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=np.int64)
-    pos = 0
-    for b in blocks:
-        s = b.shape[0]
-        out[pos : pos + s, pos : pos + s] = b
-        pos += s
-    return SymplecticMatrix.from_array(out)
+@dataclass(frozen=True)
+class BlockRotation:
+    """Block-diagonal symplectic matrix M, kept as its distinct diagonal
+    blocks with their multiplicities, in diagonal order.
+
+    M preserves the form: blocks have even size, so they start on pair
+    boundaries, where J is block-diagonal too, and M^T J M is the
+    block-diagonal of the B^T J B = J that each block's constructor checks.
+    M^m = I exactly when every block order divides m, so the order of M is
+    the lcm of the block orders.
+    """
+
+    blocks: tuple[tuple[SymplecticMatrix, int], ...]
+
+    @property
+    def g(self) -> int:
+        return sum(block.g * count for block, count in self.blocks)
+
+    def order(self, cap: int = 10_000) -> int | None:
+        """Smallest m <= cap with M^m = I, or None: the lcm of the block
+        orders, None as soon as one block's order or the lcm passes cap."""
+        order = 1
+        for block, _ in self.blocks:
+            m = block.order(cap)
+            if m is None:
+                return None
+            order = math.lcm(order, m)
+            if order > cap:
+                return None
+        return order
+
+
+def rotation_matrix(dec: GenusDecomposition) -> BlockRotation:
+    """Homology action of the order-k rotation of the decomposed surface: the
+    genus-k block a times, the genus-(k-1) block b times, then the 2x2
+    identity on the plus_one axis handle; its g is dec.genus()."""
+    pieces = (
+        (_genus_k_block(dec.k), dec.a),
+        (_genus_k_minus_1_block(dec.k), dec.b),
+        (np.eye(2, dtype=np.int64), int(dec.plus_one)),
+    )
+    return BlockRotation(
+        tuple((SymplecticMatrix.from_array(b), n) for b, n in pieces if n)
+    )
 
 
 def twist_transvection(g: int, v) -> SymplecticMatrix:

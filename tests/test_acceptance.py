@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from test_sympl import dense
 
 from torsiongen.cli import cmd_mcg, main
 from torsiongen.curves import (
@@ -42,10 +43,12 @@ from torsiongen.genus import (
 from torsiongen.lantern import ALL_RULES, verify_lantern_word
 from torsiongen.perms import is_even
 from torsiongen.sympl import (
+    SymplecticMatrix,
     generates_mod_p,
     humphries_classes,
     rotation_matrix,
     sp_order,
+    standard_form,
     twist_transvection,
 )
 
@@ -180,8 +183,17 @@ def test_criterion_6_rotation_matrices():
                 if b == 0 and a >= 1:
                     variants.append(GenusDecomposition(k, a, 0, plus_one=True))
                 for dec in variants:
-                    # form preservation is asserted by the matrix constructor
-                    if rotation_matrix(dec).order(2 * k) != k:
+                    # each block's constructor checks its form; the dense
+                    # oracle checks the whole matrix and its order
+                    rot = rotation_matrix(dec)
+                    m = dense(rot)
+                    j = standard_form(rot.g)
+                    if (
+                        rot.g != dec.genus()
+                        or not np.array_equal(m.T @ j @ m, j)
+                        or rot.order(2 * k) != k
+                        or SymplecticMatrix.from_array(m).order(2 * k) != k
+                    ):
                         bad.append(dec)
     ok = not bad
     assert line(6, "rotation matrices order k, k<=12, a+b<=5", ok, f"bad: {bad[:3]}")
@@ -228,7 +240,7 @@ def test_criterion_8_mcg_pipeline():
         if not all_stages_pass(k, g, variant):
             problems.append((k, g, variant))
     for k in range(5, 11):
-        for g in range(2, 121):
+        for g in range(2, 241):
             if decompose(k, g) is None:
                 continue
             if not all_stages_pass(k, g, "four"):
@@ -260,7 +272,7 @@ def test_criterion_8_mcg_pipeline():
         if certify_single_orbit(acts_ctrl, labels)[0]:
             problems.append(("control-still-connected", i))
     ok = not problems
-    assert line(8, "mapping-class pipeline k<=10, g<=120", ok, f"problems: {problems[:5]}")
+    assert line(8, "mapping-class pipeline k<=10, g<=240", ok, f"problems: {problems[:5]}")
 
 
 def _g2():

@@ -89,11 +89,19 @@ class TestCache:
         assert rep1.to_json() == rep2.to_json()
         assert any(tmp_path.rglob("*.json"))
 
-    @pytest.mark.parametrize("bad", [{"status": "pass"}, [1, 2]], ids=["no-params", "list"])
+    @pytest.mark.parametrize(
+        "bad",
+        [{"status": "pass"}, [1, 2], b"\xff\xfe garbage"],
+        ids=["no-params", "list", "not-utf8"],
+    )
     def test_malformed_entry_is_a_miss(self, tmp_path, bad):
         fresh = cmd_sweep("conjecture", (5, 5), (9, 9), cache_root=tmp_path / "ok")
         key = cache_key(__version__, "verify/conjecture", {"k": 5, "n": 9})
-        cache_put(tmp_path, key, bad)
+        if isinstance(bad, bytes):
+            cache_put(tmp_path, key, {})
+            next(tmp_path.rglob(f"{key}.json")).write_bytes(bad)
+        else:
+            cache_put(tmp_path, key, bad)
         rep = cmd_sweep("conjecture", (5, 5), (9, 9), cache_root=tmp_path)
         assert rep.to_json() == fresh.to_json()
         assert cache_get(tmp_path, key) == fresh.cells[0].as_dict()

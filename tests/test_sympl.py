@@ -1,7 +1,7 @@
 """Symplectic matrices: rotation blocks, transvections, Humphries classes,
 mod-p generation.  Oracles: brute-force enumeration of Sp(2,p) at g=1,
-breadth-first closure of matrix groups mod p, and exact integer form checks
-everywhere.
+breadth-first closure of matrix groups mod p, the dense block-diagonal
+rotation matrix, and exact integer form checks everywhere.
 """
 
 import itertools
@@ -18,6 +18,7 @@ from torsiongen.errors import (
 )
 from torsiongen.genus import GenusDecomposition
 from torsiongen.sympl import (
+    BlockRotation,
     SymplecticMatrix,
     generates_mod_p,
     humphries_classes,
@@ -55,6 +56,20 @@ def matrix_closure(mats, p):
                 seen.add(key)
                 frontier.append(r)
     return len(seen)
+
+
+def dense(rot):
+    """The 2g x 2g block-diagonal matrix of a BlockRotation, each distinct
+    block repeated by its multiplicity (the rotation oracle; src builds
+    none)."""
+    out = np.zeros((2 * rot.g, 2 * rot.g), dtype=np.int64)
+    pos = 0
+    for block, count in rot.blocks:
+        size = 2 * block.g
+        for _ in range(count):
+            out[pos : pos + size, pos : pos + size] = block.np
+            pos += size
+    return out
 
 
 def identity(g):
@@ -96,20 +111,26 @@ class TestSymplecticMatrix:
             SymplecticMatrix.from_array([[1, 2**62], [0, 1]])
 
     def test_order_below_int64_limit(self):
-        # order(44) forms powers up to the 45th, whose entries fit in int64
+        # order(cap) forms powers up to the cap-th and no further: the 45th
+        # still fits in int64, the 46th would not
         m = SymplecticMatrix.from_array([[2, 1], [1, 1]])
         assert m.order(44) is None
+        assert m.order(45) is None
+
+    def test_order_equal_to_cap(self):
+        assert rotation_matrix(GenusDecomposition(5, 1, 0)).order(5) == 5
+        assert rotation_matrix(GenusDecomposition(5, 1, 0)).order(4) is None
 
     def test_determinant_one_small(self):
         for dec in [GenusDecomposition(5, 1, 0), GenusDecomposition(5, 0, 1)]:
-            m = rotation_matrix(dec).np
+            m = dense(rotation_matrix(dec))
             assert round(np.linalg.det(m.astype(float))) == 1
 
 
 class TestRotationMatrix:
     def test_pure_handle_piece_is_permutation(self):
         r = rotation_matrix(GenusDecomposition(5, 1, 0))
-        m = r.np
+        m = dense(r)
         assert m.shape == (10, 10)
         assert set(np.unique(m)) == {0, 1}
         assert (m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all()
@@ -120,12 +141,12 @@ class TestRotationMatrix:
         assert r.order(20) == 5
         # the wrap-around relation c_k = -(c_1+...+c_{k-1}) shows up as a
         # row (or column) of -1 entries in the c-block
-        m = r.np
+        m = dense(r)
         assert (m == -1).any()
 
     def test_plus_one_fixes_axis_handle(self):
         dec = GenusDecomposition(5, 3, 0, plus_one=True)  # genus 16
-        m = rotation_matrix(dec).np
+        m = dense(rotation_matrix(dec))
         assert m.shape == (32, 32)
         assert m[30, 30] == 1 and m[31, 31] == 1
         assert np.count_nonzero(m[30]) == 1 and np.count_nonzero(m[31]) == 1
@@ -134,10 +155,10 @@ class TestRotationMatrix:
         for k in (4, 5, 7):
             r = rotation_matrix(GenusDecomposition(k, 1, 1))
             ident = np.eye(2 * r.g, dtype=np.int64)
-            acc = r.np
+            acc = dense(r)
             for m in range(1, k):
                 assert not np.array_equal(acc, ident), (k, m)
-                acc = acc @ r.np
+                acc = acc @ dense(r)
             assert np.array_equal(acc, ident)
 
     @pytest.mark.parametrize("k", range(2, 13))
@@ -149,6 +170,16 @@ class TestRotationMatrix:
                 for plus in ([False, True] if b == 0 and a >= 1 else [False]):
                     dec = GenusDecomposition(k, a, b, plus_one=plus)
                     assert rotation_matrix(dec).order(2 * k) == k, dec
+
+    def test_order_is_lcm_of_block_orders(self):
+        # negative control: blocks of orders 2 and 3 give 6, not either one
+        minus_one = SymplecticMatrix.from_array(-np.eye(2, dtype=np.int64))
+        third = SymplecticMatrix.from_array([[0, 1], [-1, -1]])
+        assert (minus_one.order(), third.order()) == (2, 3)
+        rot = BlockRotation(((minus_one, 1), (third, 2)))
+        assert rot.order() == 6
+        assert rot.order(5) is None
+        assert SymplecticMatrix.from_array(dense(rot)).order(6) == 6
 
 
 class TestTwistTransvection:
@@ -251,7 +282,8 @@ class TestGeneratesModP:
         assert not ok and order == 1
 
     def test_rotation_alone_is_cyclic(self):
-        r = rotation_matrix(GenusDecomposition(3, 1, 0))
+        rot = rotation_matrix(GenusDecomposition(3, 1, 0))
+        r = SymplecticMatrix.from_array(dense(rot))
         ok, order = generates_mod_p([r], 2)
         assert not ok and order == 3
 
@@ -276,6 +308,7 @@ def _oracle_cases():
             rest = ts[:drop] + ts[drop + 1 :]
             cases.append(pytest.param(rest, p, id=f"humphries-g2-p{p}-minus{drop}"))
     rot = rotation_matrix(GenusDecomposition(3, 1, 0))
+    rot = SymplecticMatrix.from_array(dense(rot))
     sl2 = [twist_transvection(1, [1, 0]), twist_transvection(1, [0, 1])]
     cases += [pytest.param([rot], p, id=f"rotation-g3-p{p}") for p in (2, 3)]
     cases.append(pytest.param([identity(2)], 3, id="identity-g2-p3"))
