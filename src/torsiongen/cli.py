@@ -17,15 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 from . import __version__
 from .cache import cache_dir, cache_key, get as cache_get, put as cache_put
 from .curves import (
-    ALPHA_L,
-    X1,
-    X2,
-    X3,
     build_action_four,
     build_action_three,
+    certified_labels,
     certify_single_orbit,
-    chain_layout,
-    humphries_label_set,
     verify_lantern_hypotheses,
 )
 from .engine import classify, jordan_certificate
@@ -47,7 +42,7 @@ from .families import (
 from .genus import decompose, stable_bound, theorem1_bound
 from .lantern import verify_lantern_word
 from .perms import is_even
-from .report import ReportCell, SweepReport
+from .report import STATUSES, ReportCell, SweepReport
 from .sympl import generates_mod_p, humphries_classes, rotation_matrix, twist_transvection
 
 FAMILIES = ("prop61", "prop62", "miller", "conjecture")
@@ -146,9 +141,16 @@ def _sweep_one(args):
 
 
 def _valid_entry(cached) -> bool:
-    """A cache entry is usable only in the shape `ReportCell.as_dict` writes;
-    anything else is a miss, recomputed and overwritten."""
-    return isinstance(cached, dict) and {"params", "status", "outcome"} <= cached.keys()
+    """A cache entry is usable only in the shape `ReportCell.as_dict` writes:
+    dict params and outcome and a known status.  Anything else is a miss,
+    recomputed and overwritten."""
+    return (
+        isinstance(cached, dict)
+        and {"params", "status", "outcome"} <= cached.keys()
+        and isinstance(cached["params"], dict)
+        and isinstance(cached["outcome"], dict)
+        and cached["status"] in STATUSES
+    )
 
 
 def cmd_sweep(
@@ -160,6 +162,8 @@ def cmd_sweep(
 ) -> SweepReport:
     """Grid sweep, cached per cell, aggregated in (k, n) order regardless of
     completion order."""
+    if k_range[0] > k_range[1] or n_range[0] > n_range[1]:
+        raise InvalidParams(f"empty sweep range: k {k_range}, n {n_range}")
     grid = [
         (family, k, n)
         for k in range(k_range[0], k_range[1] + 1)
@@ -267,15 +271,12 @@ def cmd_mcg(k: int, g: int, variant: str) -> SweepReport:
     hyp = verify_lantern_hypotheses(actions)
     stage("lantern_hypotheses", "pass" if hyp else "fail", holds=hyp)
 
-    layout = chain_layout(k, dec)
-    labels = humphries_label_set(g, set(layout.excluded())) | {X1, X2, X3}
-    if variant == "three":
-        labels.add(ALPHA_L)
-    ok, comps = certify_single_orbit(actions, labels)
+    labels = certified_labels(dec, with_alpha_l=(variant == "three"))
+    components = certify_single_orbit(actions, labels)
     stage(
         "single_orbit",
-        "pass" if ok else "fail",
-        components=len(comps),
+        "pass" if components == 1 else "fail",
+        components=components,
         labels=len(labels),
     )
 

@@ -1,17 +1,18 @@
 """Partial curve actions and orbit certification for the twist-generator
 constructions.
 
-Labels model the 2g+1 Humphries curves (a beta/gamma chain plus two alpha
-curves), the gamma curves excluded to split the chain into sub-chains F_i,
-the three extra lantern curves x1, x2, x3, and (for the three-generator
-construction) the auxiliary alpha_l curve.  Generator actions are partial
-injective maps recording only the curve images forced by the construction;
-images landing on unlabeled curves are simply absent from the map.
+Labels are `kind:index` strings for the 2g+1 Humphries curves (a
+beta/gamma chain plus two alpha curves), the gamma curves excluded to split
+the chain into sub-chains F_i, the three extra lantern curves x1, x2, x3,
+and (for the three-generator construction) the auxiliary alpha_l curve.
+Generator actions are partial injective maps recording only the curve
+images forced by the construction; images landing on unlabeled curves are
+simply absent from the map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     InvalidDecomposition,
@@ -23,45 +24,36 @@ from .errors import (
 from .genus import GenusDecomposition
 
 
-@dataclass(frozen=True, order=True)
-class CurveLabel:
-    """kind in {alpha, beta, gamma, xgamma, lantern}; xgamma marks an
-    excluded gamma curve (still a Humphries curve)."""
-
-    kind: str
-    index: str
-
-    def __str__(self) -> str:
-        return f"{self.kind}:{self.index}"
-
-    @classmethod
-    def parse(cls, text: str) -> "CurveLabel":
-        kind, _, index = text.partition(":")
-        if kind not in ("alpha", "beta", "gamma", "xgamma", "lantern") or not index:
-            raise InvalidDecomposition(f"bad curve label {text!r}")
-        return cls(kind, index)
+def parse_label(text: str) -> str:
+    """Validate a `kind:index` curve label read from outside the program.
+    xgamma marks an excluded gamma curve (still a Humphries curve).  The
+    kinds are prefix-free, so labels sort by kind, then by index."""
+    kind, _, index = text.partition(":")
+    if kind not in ("alpha", "beta", "gamma", "xgamma", "lantern") or not index:
+        raise InvalidDecomposition(f"bad curve label {text!r}")
+    return text
 
 
-def beta(i: int) -> CurveLabel:
-    return CurveLabel("beta", str(i))
+def beta(i: int) -> str:
+    return f"beta:{i}"
 
 
-def gamma(i: int) -> CurveLabel:
-    return CurveLabel("gamma", str(i))
+def gamma(i: int) -> str:
+    return f"gamma:{i}"
 
 
-def xgamma(i: int) -> CurveLabel:
-    return CurveLabel("xgamma", str(i))
+def xgamma(i: int) -> str:
+    return f"xgamma:{i}"
 
 
-def alpha(i: int) -> CurveLabel:
-    return CurveLabel("alpha", str(i))
+def alpha(i: int) -> str:
+    return f"alpha:{i}"
 
 
-ALPHA_L = CurveLabel("alpha", "l")
-X1 = CurveLabel("lantern", "x1")
-X2 = CurveLabel("lantern", "x2")
-X3 = CurveLabel("lantern", "x3")
+ALPHA_L = "alpha:l"
+X1 = "lantern:x1"
+X2 = "lantern:x2"
+X3 = "lantern:x3"
 # The lantern curves gamma1, gamma2, alpha1, alpha2 alias their Humphries
 # identities; only x1, x2, x3 are extra labels.
 
@@ -73,9 +65,11 @@ class GeneratorAction:
 
     name: str
     order: int
-    map: tuple[tuple[CurveLabel, CurveLabel], ...]
+    map: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
+        if self.order < 1:
+            raise InvalidDecomposition(f"{self.name}: order {self.order} < 1")
         sources = [s for s, _ in self.map]
         targets = [t for _, t in self.map]
         if len(set(sources)) != len(sources):
@@ -93,7 +87,7 @@ class GeneratorAction:
     def of(cls, name, order, mapping: dict) -> "GeneratorAction":
         return cls(name, order, tuple(sorted(mapping.items())))
 
-    def as_dict(self) -> dict[CurveLabel, CurveLabel]:
+    def as_dict(self) -> dict[str, str]:
         return dict(self.map)
 
     def cycle_lengths(self) -> list[int]:
@@ -118,7 +112,7 @@ class GeneratorAction:
         return out
 
 
-def humphries_label_set(g: int, excluded: set[int]) -> set[CurveLabel]:
+def humphries_label_set(g: int, excluded: set[int]) -> set[str]:
     """The 2g+1 Humphries labels: beta 1..g, gamma 1..g-1 (excluded ones
     carry the xgamma kind), alpha 1 and 2."""
     out = {beta(i) for i in range(1, g + 1)}
@@ -169,6 +163,16 @@ def chain_layout(k: int, dec: GenusDecomposition) -> ChainLayout:
     else:
         counts = (k,) * dec.a + (k - 1,) * dec.b
     return ChainLayout(k, dec.genus(), counts, dec.plus_one)
+
+
+def certified_labels(dec: GenusDecomposition, with_alpha_l: bool) -> set[str]:
+    """The labels the single-orbit certificate must join: the Humphries
+    curves, x1, x2, x3, and alpha_l for the three-generator construction."""
+    excluded = set(chain_layout(dec.k, dec).excluded())
+    labels = humphries_label_set(dec.genus(), excluded) | {X1, X2, X3}
+    if with_alpha_l:
+        labels.add(ALPHA_L)
+    return labels
 
 
 def _f_map(k: int, dec: GenusDecomposition, with_alpha_l: bool) -> dict:
@@ -291,7 +295,7 @@ def actions_to_json(k: int, dec: GenusDecomposition, actions) -> dict:
             {
                 "name": act.name,
                 "order": act.order,
-                "map": [[str(s), str(t)] for s, t in act.map],
+                "map": [[s, t] for s, t in act.map],
             }
             for act in actions
         ],
@@ -310,7 +314,7 @@ def actions_from_json(data: dict):
         GeneratorAction.of(
             g["name"],
             g["order"],
-            {CurveLabel.parse(s): CurveLabel.parse(t) for s, t in g["map"]},
+            {parse_label(s): parse_label(t) for s, t in g["map"]},
         )
         for g in data["generators"]
     ]
@@ -326,40 +330,27 @@ def load_shipped(name: str) -> dict:
         return json.load(fh)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
+def certify_single_orbit(actions: list[GeneratorAction], labels: set[str]) -> int:
+    """The number of components `labels` fall into under the undirected
+    action edges; one component is a single orbit.  Orbit membership is
+    symmetric under inverses, so undirected closure suffices."""
+    parent: dict[str, str] = {}  # roots are absent
 
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+    def find(x: str) -> str:
+        path = []
+        while x in parent:
+            path.append(x)
+            x = parent[x]
+        for y in path:
+            parent[y] = x
         return x
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def certify_single_orbit(
-    actions: list[GeneratorAction], labels: set[CurveLabel]
-) -> tuple[bool, list[list[CurveLabel]]]:
-    """Union-find over all action edges; true iff every label in `labels`
-    lands in one component.  Orbit membership is symmetric under inverses,
-    so undirected closure suffices."""
-    uf = _UnionFind()
-    for lb in labels:
-        uf.find(lb)
     for act in actions:
         for s, t in act.map:
-            uf.union(s, t)
-    components: dict = {}
-    for lb in labels:
-        components.setdefault(uf.find(lb), []).append(lb)
-    comps = sorted((sorted(c) for c in components.values()), key=len, reverse=True)
-    return len(comps) == 1, comps
+            rs, rt = find(s), find(t)
+            if rs != rt:
+                parent[rs] = rt
+    return len({find(lb) for lb in labels})
 
 
 def _role_maps(actions: list[GeneratorAction]):

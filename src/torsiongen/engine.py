@@ -24,7 +24,7 @@ from .errors import (
     InvalidParams,
     PointOutOfRange,
 )
-from .perms import CycleDecomposition, Permutation, commutator, power
+from .perms import CycleDecomposition, Permutation, commutator, is_even, power
 
 Array = np.ndarray
 
@@ -325,9 +325,7 @@ def classify(gens: list[Permutation]) -> Classification:
     """
     n = gens[0].degree
     full = math.factorial(n)
-    all_even = all(
-        sum(len(c) - 1 for c in g.cycles()) % 2 == 0 for g in gens
-    )
+    all_even = all(is_even(g) for g in gens)
     giant = (
         n >= 8
         and all(g.degree == n for g in gens)

@@ -28,7 +28,7 @@ from .curves import _role_maps, verify_lantern_hypotheses
 # ("M", generator-name, exponent) for mapping classes f, g, h
 Token = tuple[str, str, int]
 
-_INTERIOR = {str(gamma(1)), str(X3), str(X2)}
+_INTERIOR = {gamma(1), X3, X2}
 
 ALL_RULES = frozenset({"lantern", "commute", "conjugate"})
 
@@ -44,23 +44,9 @@ class TwistWord:
             parts.append(sym if exp == 1 else f"{sym}^{exp}")
         return " ".join(parts) or "1"
 
-    def evaluate(self, assign, mul, identity, inv=None):
-        """Fold the word through `assign((kind, name)) -> value`; negative
-        exponents need an `inv` callable."""
-        acc = identity
-        for kind, name, exp in self.tokens:
-            val = assign((kind, name))
-            if exp < 0:
-                if inv is None:
-                    raise ValueError("negative exponent needs inv")
-                val = inv(val)
-            for _ in range(abs(exp)):
-                acc = mul(acc, val)
-        return acc
 
-
-def _t(label, exp=1) -> Token:
-    return ("T", str(label), exp)
+def _t(label: str, exp=1) -> Token:
+    return ("T", label, exp)
 
 
 def _m(name, exp=1) -> Token:
@@ -183,7 +169,7 @@ def verify_lantern_word(
         raise HypothesisFailure("f(gamma:1) = gamma:2 fact missing")
     rewritten: list[Token] = []
     for tok in word:
-        if tok[0] == "T" and tok[1] == str(g1):
+        if tok[0] == "T" and tok[1] == g1:
             rewritten += [_m("f", -1), _t(g2, tok[2]), _m("f")]
         else:
             rewritten.append(tok)

@@ -82,7 +82,7 @@ class Permutation:
 
 @dataclass(frozen=True)
 class CycleDecomposition:
-    """Canonical cycle form of a permutation; round-trips with Permutation."""
+    """Canonical cycle form of a permutation."""
 
     cycles: tuple[tuple[int, ...], ...]
     degree: int
@@ -90,13 +90,6 @@ class CycleDecomposition:
     @classmethod
     def of(cls, p: Permutation) -> "CycleDecomposition":
         return cls(tuple(tuple(c) for c in p.cycles()), p.degree)
-
-    def to_permutation(self) -> Permutation:
-        images = list(range(self.degree))
-        for cyc in self.cycles:
-            for i, x in enumerate(cyc):
-                images[x] = cyc[(i + 1) % len(cyc)]
-        return Permutation(tuple(images))
 
 
 def parse_cycles(text: str, n: int) -> Permutation:

@@ -12,12 +12,13 @@ import json
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 2
+STATUSES = ("pass", "fail", "expected-fail", "skip")
 
 
 @dataclass(frozen=True)
 class ReportCell:
     params: tuple[tuple[str, object], ...]
-    status: str  # "pass" | "fail" | "expected-fail" | "skip"
+    status: str  # one of STATUSES
     outcome: tuple[tuple[str, object], ...]
     elapsed: float = 0.0
 
@@ -54,7 +55,7 @@ class SweepReport:
         return cls(command, tuple(sorted(params.items())), tuple(cells), version, seed)
 
     def summary(self) -> dict:
-        counts = {"pass": 0, "fail": 0, "expected-fail": 0, "skip": 0}
+        counts = dict.fromkeys(STATUSES, 0)
         for cell in self.cells:
             counts[cell.status] += 1
         return counts

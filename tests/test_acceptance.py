@@ -14,16 +14,11 @@ from test_sympl import dense
 
 from torsiongen.cli import cmd_mcg, main
 from torsiongen.curves import (
-    ALPHA_L,
-    X1,
-    X2,
-    X3,
     GeneratorAction,
     build_action_four,
     build_action_three,
+    certified_labels,
     certify_single_orbit,
-    chain_layout,
-    humphries_label_set,
 )
 from torsiongen.engine import classify, jordan_certificate
 from torsiongen.errors import CaseUndefined, RewriteStepInvalid
@@ -260,16 +255,15 @@ def test_criterion_8_mcg_pipeline():
             pass
     # edge-deletion negative controls
     dec = decompose(5, 18)
-    layout = chain_layout(5, dec)
-    labels = humphries_label_set(18, set(layout.excluded())) | {X1, X2, X3}
+    labels = certified_labels(dec, False)
     f, gg, h = build_action_four(5, dec)
     controls = [
         [f, gg, GeneratorAction.of("h", 5, {})],
-        [GeneratorAction.of("f", 5, {s: t for s, t in f.map if s.kind != "alpha"}), gg, h],
-        [f, GeneratorAction.of("g", 5, {s: t for s, t in gg.map if s.kind == "lantern" or s == _g2()}), h],
+        [GeneratorAction.of("f", 5, {s: t for s, t in f.map if not s.startswith("alpha:")}), gg, h],
+        [f, GeneratorAction.of("g", 5, {s: t for s, t in gg.map if s.startswith("lantern:") or s == _g2()}), h],
     ]
     for i, acts_ctrl in enumerate(controls):
-        if certify_single_orbit(acts_ctrl, labels)[0]:
+        if certify_single_orbit(acts_ctrl, labels) == 1:
             problems.append(("control-still-connected", i))
     ok = not problems
     assert line(8, "mapping-class pipeline k<=10, g<=240", ok, f"problems: {problems[:5]}")

@@ -60,6 +60,9 @@ class TestReport:
         assert len(lines) == 1 + len(rep.cells)
 
 
+CELL_5_9 = {"family": "conjecture", "k": 5, "n": 9}
+
+
 class TestCache:
     def test_key_depends_on_version_and_params(self):
         k1 = cache_key("1", "verify", {"k": 3})
@@ -91,8 +94,18 @@ class TestCache:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"status": "pass"}, [1, 2], b"\xff\xfe garbage"],
-        ids=["no-params", "list", "not-utf8"],
+        [
+            {"status": "pass"},
+            [1, 2],
+            b"\xff\xfe garbage",
+            {"params": 1, "status": "pass", "outcome": {}},
+            {"params": CELL_5_9, "status": "pass", "outcome": []},
+            {"params": CELL_5_9, "status": "bogus", "outcome": {}},
+        ],
+        ids=[
+            "no-params", "list", "not-utf8",
+            "params-not-dict", "outcome-not-dict", "unknown-status",
+        ],
     )
     def test_malformed_entry_is_a_miss(self, tmp_path, bad):
         fresh = cmd_sweep("conjecture", (5, 5), (9, 9), cache_root=tmp_path / "ok")
@@ -156,8 +169,11 @@ class TestSweep:
         assert len(keys) == len(set(keys)) == 2 * 10
 
     def test_empty_range(self, tmp_path):
-        rep = cmd_sweep("prop61", (3, 3), (10, 9), cache_root=tmp_path)
-        assert rep.cells == () and rep.ok()
+        # an inverted range is a usage error, not an empty passing report
+        for k_range, n_range in (((3, 3), (10, 9)), ((4, 3), (10, 10))):
+            with pytest.raises(InvalidParams):
+                cmd_sweep("prop61", k_range, n_range, cache_root=tmp_path)
+        assert not any(tmp_path.rglob("*.json"))
 
     def test_known_exceptions_expected_fail(self, tmp_path):
         rep = cmd_sweep("conjecture", (3, 3), (3, 10), cache_root=tmp_path)
@@ -238,6 +254,16 @@ class TestMainExitCodes:
     def test_mcg_unrepresentable_is_two(self):
         code, _, _ = run(["mcg", "--k", "5", "--g", "7", "--variant", "four"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--k", "10", "--k-max", "3", "--n", "12"], ["--k", "5", "--n", "20", "--n-max", "3"]],
+        ids=["k", "n"],
+    )
+    def test_inverted_sweep_range_is_two(self, tmp_path, bounds):
+        argv = ["sweep", "--family", "conjecture", *bounds, "--cache-dir", str(tmp_path)]
+        code, out, err = run(argv)
+        assert code == 2 and out == "" and err.startswith("error: empty sweep range")
 
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc:

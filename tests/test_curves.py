@@ -17,7 +17,6 @@ from torsiongen.curves import (
     X1,
     X2,
     X3,
-    CurveLabel,
     GeneratorAction,
     actions_from_json,
     actions_to_json,
@@ -25,11 +24,13 @@ from torsiongen.curves import (
     beta,
     build_action_four,
     build_action_three,
+    certified_labels,
     certify_single_orbit,
     chain_layout,
     gamma,
     humphries_label_set,
     load_shipped,
+    parse_label,
     verify_lantern_hypotheses,
     xgamma,
 )
@@ -45,15 +46,6 @@ from torsiongen.genus import GenusDecomposition, decompose
 DATA = Path(__file__).resolve().parents[1] / "src" / "torsiongen" / "data"
 
 
-def full_label_set(k, dec, three=False):
-    layout = chain_layout(k, dec)
-    labels = humphries_label_set(dec.genus(), set(layout.excluded()))
-    labels |= {X1, X2, X3}
-    if three:
-        labels.add(ALPHA_L)
-    return labels
-
-
 def admissible_decs(k, g_max=120):
     for g in range(2, g_max + 1):
         dec = decompose(k, g)
@@ -64,16 +56,16 @@ def admissible_decs(k, g_max=120):
 class TestCurveLabel:
     def test_round_trip(self):
         for lb in (beta(12), gamma(4), xgamma(5), X3, alpha(1), ALPHA_L):
-            assert CurveLabel.parse(str(lb)) == lb
+            assert parse_label(lb) == lb
 
     def test_serialized_forms(self):
-        assert str(beta(12)) == "beta:12"
-        assert str(xgamma(5)) == "xgamma:5"
-        assert str(X3) == "lantern:x3"
+        assert beta(12) == "beta:12"
+        assert xgamma(5) == "xgamma:5"
+        assert X3 == "lantern:x3"
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(InvalidDecomposition):
-            CurveLabel.parse("delta:3")
+            parse_label("delta:3")
 
 
 class TestLabelSets:
@@ -83,8 +75,8 @@ class TestLabelSets:
 
     def test_g18_set_has_37_humphries_labels(self):
         dec = decompose(5, 18)
-        labels = full_label_set(5, dec)
-        humphries = {lb for lb in labels if lb.kind != "lantern"}
+        labels = certified_labels(dec, False)
+        humphries = {lb for lb in labels if not lb.startswith("lantern:")}
         assert len(humphries) == 37
 
     def test_excluded_positions_g18(self):
@@ -234,26 +226,20 @@ class TestBuildActionThree:
 class TestCertifySingleOrbit:
     def test_worked_four_g18(self):
         dec = decompose(5, 18)
-        ok, comps = certify_single_orbit(
-            build_action_four(5, dec), full_label_set(5, dec)
-        )
-        assert ok and len(comps) == 1
-        humphries = [lb for lb in comps[0] if lb.kind != "lantern"]
-        assert len(humphries) == 37
+        acts = build_action_four(5, dec)
+        assert certify_single_orbit(acts, certified_labels(dec, False)) == 1
 
     def test_worked_three_g21(self):
         dec = decompose(8, 21)
-        ok, comps = certify_single_orbit(
-            build_action_three(8, dec), full_label_set(8, dec, three=True)
-        )
-        assert ok and len(comps) == 1
+        acts = build_action_three(8, dec)
+        assert certify_single_orbit(acts, certified_labels(dec, True)) == 1
 
     @pytest.mark.parametrize("k", range(5, 13))
     def test_four_gen_sweep(self, k):
         for dec in admissible_decs(k):
             acts = build_action_four(k, dec)
-            ok, comps = certify_single_orbit(acts, full_label_set(k, dec))
-            assert ok, (k, dec, [len(c) for c in comps])
+            components = certify_single_orbit(acts, certified_labels(dec, False))
+            assert components == 1, (k, dec, components)
             assert verify_lantern_hypotheses(acts), (k, dec)
 
     @pytest.mark.parametrize("k", [6, 7, 8, 9, 10, 11, 12])
@@ -270,10 +256,8 @@ class TestCertifySingleOrbit:
             if k == 7 and dec.a < 1:
                 continue
             acts = build_action_three(k, dec)
-            ok, comps = certify_single_orbit(
-                acts, full_label_set(k, dec, three=True)
-            )
-            assert ok, (k, dec, [len(c) for c in comps])
+            components = certify_single_orbit(acts, certified_labels(dec, True))
+            assert components == 1, (k, dec, components)
             assert verify_lantern_hypotheses(acts), (k, dec)
             tested += 1
         assert tested > 0
@@ -282,8 +266,8 @@ class TestCertifySingleOrbit:
         dec = decompose(5, 18)
         f, g, h = build_action_four(5, dec)
         empty_h = GeneratorAction.of("h", 5, {})
-        ok, comps = certify_single_orbit([f, g, empty_h], full_label_set(5, dec))
-        assert not ok and len(comps) >= 2
+        labels = certified_labels(dec, False)
+        assert certify_single_orbit([f, g, empty_h], labels) >= 2
 
     def test_deleting_f_alpha_edge_disconnects(self):
         dec = decompose(5, 18)
@@ -291,22 +275,21 @@ class TestCertifySingleOrbit:
         f2 = GeneratorAction.of(
             "f", 5, {s: t for s, t in f.map if s != alpha(1)}
         )
-        assert not certify_single_orbit([f2, g, h], full_label_set(5, dec))[0]
+        assert certify_single_orbit([f2, g, h], certified_labels(dec, False)) != 1
 
     def test_deleting_g_chain_edges_disconnects(self):
         dec = decompose(5, 18)
         f, g, h = build_action_four(5, dec)
         keep = (X1, X3, gamma(2))
         g2 = GeneratorAction.of("g", 5, {s: t for s, t in g.map if s in keep})
-        assert not certify_single_orbit([f, g2, h], full_label_set(5, dec))[0]
+        assert certify_single_orbit([f, g2, h], certified_labels(dec, False)) != 1
 
     def test_deleting_derived_h_edges_disconnects_three_gen(self):
         dec = decompose(8, 21)
         f, g, g3 = build_action_three(8, dec)
         empty = GeneratorAction.of("g^3", 8, {})
-        labels = full_label_set(8, dec, three=True)
-        ok, comps = certify_single_orbit([f, g, empty], labels)
-        assert not ok and len(comps) >= 2
+        labels = certified_labels(dec, True)
+        assert certify_single_orbit([f, g, empty], labels) >= 2
 
 
 class TestVerifyLanternHypotheses:
@@ -353,13 +336,20 @@ class TestShippedTables:
     def test_shipped_files_parse_and_certify(self):
         k, dec, acts = actions_from_json(load_shipped("action_k5_g18_four.json"))
         assert (k, dec.genus()) == (5, 18)
-        assert certify_single_orbit(acts, full_label_set(k, dec))[0]
+        assert certify_single_orbit(acts, certified_labels(dec, False)) == 1
 
     def test_files_are_sorted_stable_json(self):
         for name in ("action_k5_g18_four.json", "action_k8_g21_three.json"):
             raw = (DATA / name).read_text()
             data = json.loads(raw)
             assert json.dumps(data, indent=2, sort_keys=True) + "\n" == raw
+
+    @pytest.mark.parametrize("order", [0, -5])
+    def test_nonpositive_order_rejected(self, order):
+        data = load_shipped("action_k5_g18_four.json")
+        data["generators"][0]["order"] = order
+        with pytest.raises(InvalidDecomposition):
+            actions_from_json(data)
 
     def test_genus_mismatch_rejected(self):
         data = dict(load_shipped("action_k5_g18_four.json"))
@@ -391,5 +381,5 @@ class TestProperties:
     def test_plus_one_certifies(self, k, a):
         dec = GenusDecomposition(k, a, 0, plus_one=True)
         acts = build_action_four(k, dec)
-        ok, _ = certify_single_orbit(acts, full_label_set(k, dec))
-        assert ok and verify_lantern_hypotheses(acts)
+        assert certify_single_orbit(acts, certified_labels(dec, False)) == 1
+        assert verify_lantern_hypotheses(acts)

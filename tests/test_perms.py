@@ -15,7 +15,6 @@ from torsiongen.errors import (
     RepeatedPoint,
 )
 from torsiongen.perms import (
-    CycleDecomposition,
     Permutation,
     commutator,
     compose,
@@ -78,10 +77,6 @@ class TestParsing:
     @given(perm_strategy)
     def test_round_trip(self, p):
         assert parse_cycles(format_cycles(p), p.degree) == p
-
-    @given(perm_strategy)
-    def test_decomposition_round_trip(self, p):
-        assert CycleDecomposition.of(p).to_permutation() == p
 
     def test_canonical_form(self):
         # min element first in each cycle, cycles sorted by min
