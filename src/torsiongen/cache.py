@@ -42,26 +42,29 @@ def cache_key(version: str, command: str, params: dict, seed=None) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _path(root: Path, key: str) -> Path:
-    return root / key[:2] / f"{key}.json"
+def _path(root: str | os.PathLike, key: str) -> str:
+    return f"{root}/{key[:2]}/{key}.json"
 
 
-def get(root: Path, key: str) -> dict | None:
-    path = _path(root, key)
+def get(root: str | os.PathLike, key: str) -> dict | None:
+    """The entry under `key`, or None.  The bytes are decoded as strict
+    UTF-8 before parsing: `json.loads` on raw bytes would also accept a BOM
+    or UTF-16, and a file that is not plain UTF-8 JSON is a miss."""
     try:
-        with path.open() as fh:
-            return json.load(fh)
+        with open(_path(root, key), "rb") as fh:
+            return json.loads(fh.read().decode())
     except (FileNotFoundError, ValueError):  # bad UTF-8 or JSON is a miss too
         return None
 
 
-def put(root: Path, key: str, payload: dict) -> None:
+def put(root: str | os.PathLike, key: str, payload: dict) -> None:
     path = _path(root, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    parent = os.path.dirname(path)
+    os.makedirs(parent, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            fh.write(json.dumps(payload, sort_keys=True))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -140,14 +140,15 @@ def _sweep_one(args):
         )
 
 
-def _valid_entry(cached) -> bool:
-    """A cache entry is usable only in the shape `ReportCell.as_dict` writes:
-    dict params and outcome and a known status.  Anything else is a miss,
-    recomputed and overwritten."""
+def _valid_entry(cached, params: dict) -> bool:
+    """A cache entry is usable only in the shape `ReportCell.as_dict` writes
+    for the cell it is cached under: `params` as its params, a dict outcome
+    and a known status.  Anything else is a miss, recomputed and
+    overwritten."""
     return (
         isinstance(cached, dict)
         and {"params", "status", "outcome"} <= cached.keys()
-        and isinstance(cached["params"], dict)
+        and cached["params"] == params
         and isinstance(cached["outcome"], dict)
         and cached["status"] in STATUSES
     )
@@ -176,10 +177,11 @@ def cmd_sweep(
     for family_, k, n in grid:
         key = cache_key(__version__, f"verify/{family_}", {"k": k, "n": n})
         cached = cache_get(root, key)
-        if _valid_entry(cached):
-            cells[(k, n)] = ReportCell.of(
-                cached["params"], cached["status"], cached["outcome"]
-            )
+        params = {"family": family_, "k": k, "n": n}
+        if _valid_entry(cached, params):
+            # params from the grid, not the entry: an entry's 5.0 equals 5
+            # but would print as 5.0
+            cells[(k, n)] = ReportCell.of(params, cached["status"], cached["outcome"])
             hits.append((k, n))
         else:
             todo.append((family_, k, n, key))

@@ -128,10 +128,7 @@ class ChainLayout:
     """The F_i sub-chains: per chain, global beta and gamma index ranges,
     plus the excluded gamma indices separating consecutive chains."""
 
-    k: int
-    genus: int
     beta_counts: tuple[int, ...]
-    plus_one: bool
 
     @property
     def starts(self) -> list[int]:
@@ -162,7 +159,7 @@ def chain_layout(k: int, dec: GenusDecomposition) -> ChainLayout:
         counts = (k,) * dec.a
     else:
         counts = (k,) * dec.a + (k - 1,) * dec.b
-    return ChainLayout(k, dec.genus(), counts, dec.plus_one)
+    return ChainLayout(counts)
 
 
 def certified_labels(dec: GenusDecomposition, with_alpha_l: bool) -> set[str]:

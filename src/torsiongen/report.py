@@ -9,10 +9,40 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 SCHEMA_VERSION = 2
 STATUSES = ("pass", "fail", "expected-fail", "skip")
+
+
+def _dump(o, newline: str = "\n") -> str:
+    """`json.dumps(o, sort_keys=True, indent=2)` for `o` nested at `newline`
+    ("\\n" plus the indent), written directly: the stdlib encoder runs in
+    pure Python whenever it indents.  Dict keys must be str.  Floats and
+    unsupported types go through `json.dumps`, so NaN, the infinities and
+    the TypeError match it."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if isinstance(o, bool):  # before int: bool is an int subclass
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        items = [_quote(k) + ": " + _dump(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        items = [_dump(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(o)
 
 
 @dataclass(frozen=True)
@@ -75,9 +105,7 @@ class SweepReport:
         }
 
     def to_json(self, include_elapsed: bool = False) -> str:
-        return json.dumps(
-            self.as_dict(include_elapsed), sort_keys=True, indent=2
-        ) + "\n"
+        return _dump(self.as_dict(include_elapsed)) + "\n"
 
     def to_csv(self) -> str:
         keys_p = sorted({k for c in self.cells for k, _ in c.params})

@@ -1,5 +1,6 @@
 """CLI surface, reports, and cache: exit codes, determinism, round trips."""
 
+import codecs
 import inspect
 import io
 import json
@@ -101,15 +102,23 @@ class TestCache:
             {"params": 1, "status": "pass", "outcome": {}},
             {"params": CELL_5_9, "status": "pass", "outcome": []},
             {"params": CELL_5_9, "status": "bogus", "outcome": {}},
+            # the right entry, in encodings that json.loads accepts from
+            # bytes but that are not plain UTF-8 JSON
+            lambda text: codecs.BOM_UTF8 + text.encode(),
+            lambda text: text.encode("utf-16"),
         ],
         ids=[
             "no-params", "list", "not-utf8",
             "params-not-dict", "outcome-not-dict", "unknown-status",
+            "utf8-bom", "utf16",
         ],
     )
     def test_malformed_entry_is_a_miss(self, tmp_path, bad):
         fresh = cmd_sweep("conjecture", (5, 5), (9, 9), cache_root=tmp_path / "ok")
+        clean = json.dumps(fresh.cells[0].as_dict(), sort_keys=True)
         key = cache_key(__version__, "verify/conjecture", {"k": 5, "n": 9})
+        if callable(bad):
+            bad = bad(clean)
         if isinstance(bad, bytes):
             cache_put(tmp_path, key, {})
             next(tmp_path.rglob(f"{key}.json")).write_bytes(bad)
@@ -117,7 +126,31 @@ class TestCache:
             cache_put(tmp_path, key, bad)
         rep = cmd_sweep("conjecture", (5, 5), (9, 9), cache_root=tmp_path)
         assert rep.to_json() == fresh.to_json()
-        assert cache_get(tmp_path, key) == fresh.cells[0].as_dict()
+        # a miss rewrites the entry; a hit would have left the bad bytes
+        assert next(tmp_path.rglob(f"{key}.json")).read_text() == clean
+
+    def test_put_writes_canonical_json(self, tmp_path):
+        payload = {"z": [1, 2.5, None], "a": {"é": "\u2028", "t": True}}
+        key = cache_key("1", "c", {"x": 1})
+        cache_put(tmp_path, key, payload)
+        written = next(tmp_path.rglob(f"{key}.json")).read_bytes()
+        assert written == json.dumps(payload, sort_keys=True).encode()
+
+    def test_entry_for_another_cell_is_a_miss(self, tmp_path):
+        argv = [
+            "sweep", "--family", "conjecture", "--k", "3", "--k-max", "6",
+            "--n", "3", "--n-max", "40", "--cache-dir", str(tmp_path),
+        ]
+        code, clean, _ = run(argv)
+        assert code == 0
+        key = cache_key(__version__, "verify/conjecture", {"k": 4, "n": 20})
+        entry = cache_get(tmp_path, key)
+        # the 1% spot check samples one other cell here, so only the params
+        # tie the entry to (4, 20)
+        wrong = {"family": "prop61", "k": 99, "n": 99}
+        cache_put(tmp_path, key, {**entry, "params": wrong, "status": "fail"})
+        assert run(argv) == (0, clean, "")
+        assert cache_get(tmp_path, key) == entry
 
 
     def test_altered_entry_is_cache_corruption(self, tmp_path):

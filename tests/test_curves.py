@@ -121,6 +121,12 @@ class TestBuildActionFour:
         with pytest.raises(InvalidDecomposition):
             build_action_four(5, GenusDecomposition(6, 1, 1))
 
+    def test_k_mismatch_with_a_decomposed_genus(self):
+        # chain_layout's k == dec.k guard: a genus-18 split for k = 5 must
+        # not be laid out as k = 6 chains
+        with pytest.raises(InvalidDecomposition):
+            build_action_four(6, decompose(5, 18))
+
     def test_f_cycles_F1_betas_g18(self):
         f, g, h = build_action_four(5, decompose(5, 18))
         fm = f.as_dict()
