@@ -47,30 +47,32 @@ CRITERION_9 = [
 ]
 
 CONJECTURE_SWEEP = "sweep --family conjecture --k 3 --k-max 10 --n 3 --n-max 100"
+CSV_SWEEP = "sweep --family prop61 --k 3 --k-max 6 --n 6 --n-max 30 --format csv"
 
 
 def commands() -> list[tuple[str, list[str]]]:
     """(manifest key, argv) for every command of the set, in run order."""
-    lines = list(CRITERION_9)
-    for k in range(5, 11):
-        for g in [*range(2, 40), 60, 97, 120, 180, 240]:
-            for variant in ("four", "three"):
-                lines.append(f"mcg --k {k} --g {g} --variant {variant}")
-    lines += [f"sympl --k {k} --g {g} --p {p}" for k, g, p in ((2, 2, 2), (2, 2, 3), (3, 3, 2))]
-    out = [(line, line.split()) for line in lines]
-    out.append((f"{CONJECTURE_SWEEP} [cold]", [*CONJECTURE_SWEEP.split(), "--cache-dir", CACHE]))
-    out.append((f"{CONJECTURE_SWEEP} [warm]", [*CONJECTURE_SWEEP.split(), "--cache-dir", SHARED]))
-    csv = "sweep --family prop61 --k 3 --k-max 6 --n 6 --n-max 30 --format csv"
-    out.append((csv, [*csv.split(), "--cache-dir", CACHE]))
-    lines = [f"verify --family miller --k {k} --n {n}" for k in range(3, 17) for n in range(k, 2 * k)]
-    lines += [
-        f"verify --family prop62 --k {k} --n {n}"
-        for k in range(4, 17, 2)
-        for n in range(k + 2, 2 * k + 2)
+    mcg = [
+        f"mcg --k {k} --g {g} --variant {variant}"
+        for k in range(5, 11)
+        for g in [*range(2, 40), 60, 97, 120, 180, 240]
+        for variant in ("four", "three")
     ]
-    lines += [f"verify --family prop61 --k {k} --n {3 * k}" for k in range(3, 13)]
-    lines.append("verify --family miller --k 4 --n 9")
-    out += [(line, line.split()) for line in lines]
+    sympl = [f"sympl --k {k} --g {g} --p {p}" for k, g, p in ((2, 2, 2), (2, 2, 3), (3, 3, 2))]
+    out = [(line, line.split()) for line in CRITERION_9 + mcg + sympl]
+    sweep = CONJECTURE_SWEEP.split()
+    out += [
+        (f"{CONJECTURE_SWEEP} [cold]", [*sweep, "--cache-dir", CACHE]),
+        (f"{CONJECTURE_SWEEP} [warm]", [*sweep, "--cache-dir", SHARED]),
+        (CSV_SWEEP, [*CSV_SWEEP.split(), "--cache-dir", CACHE]),
+    ]
+    cells = [
+        *(f"miller --k {k} --n {n}" for k in range(3, 17) for n in range(k, 2 * k)),
+        *(f"prop62 --k {k} --n {n}" for k in range(4, 17, 2) for n in range(k + 2, 2 * k + 2)),
+        *(f"prop61 --k {k} --n {3 * k}" for k in range(3, 13)),
+        "miller --k 4 --n 9",
+    ]
+    out += [(f"verify --family {c}", f"verify --family {c}".split()) for c in cells]
     return out
 
 
@@ -103,8 +105,11 @@ def versions() -> dict[str, str]:
 
 
 def write(results: dict[str, dict]) -> None:
-    head = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in versions().items())
-    body = ",\n".join(f"    {json.dumps(k)}: {json.dumps(v)}" for k, v in results.items())
+    def entries(items, indent):
+        return ",\n".join(f"{indent}{json.dumps(k)}: {json.dumps(v)}" for k, v in items)
+
+    head = entries(versions().items(), "  ")
+    body = entries(results.items(), "    ")
     MANIFEST.parent.mkdir(parents=True, exist_ok=True)
     MANIFEST.write_text(f'{{\n{head},\n  "commands": {{\n{body}\n  }}\n}}\n')
 

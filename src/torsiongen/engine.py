@@ -5,7 +5,9 @@ answers exact order / membership / orbit / transitivity / primitivity
 queries.  `classify` first tries a giant certificate (transitivity plus an
 element with a long prime cycle, found by a seeded random walk) that proves
 the group contains A_n without building a chain; a missed certificate only
-costs the chain build, never a different verdict.  Internally permutations
+costs the chain build, never a different verdict.  `jordan_certificate`
+names a prime-cycle witness among the generators and their pairwise
+commutators, with no search beyond them.  Internally permutations
 are numpy int32 image tables; composition r(x) = p(q(x)) is the fancy-index
 p[q].
 """
@@ -24,7 +26,7 @@ from .errors import (
     InvalidParams,
     PointOutOfRange,
 )
-from .perms import CycleDecomposition, Permutation, commutator, is_even, power
+from .perms import CycleDecomposition, Permutation, commutator, is_even
 
 Array = np.ndarray
 
@@ -432,24 +434,21 @@ def _single_prime_cycle(p: Permutation, n: int) -> int | None:
     return ln
 
 
-def jordan_certificate(
-    gens: list[Permutation],
-    search_depth: int = 4,
-    names: list[str] | None = None,
-) -> JordanWitness | None:
-    """Bounded search for a p-cycle witness (p prime, p <= n-3).
+def jordan_certificate(gens: list[Permutation]) -> JordanWitness | None:
+    """A p-cycle witness (p prime, p <= n-3) among the generators and their
+    pairwise commutators.
 
-    Candidates in order: generators, their powers, commutators of ordered
-    generator pairs, commutators of powers up to search_depth.  Among all
-    hits the smallest prime wins, with the lexicographically smallest cycle
-    form breaking ties (then first found), so the canonical small 3-cycle
-    witnesses are preferred over longer prime cycles and later duplicates.
+    Generators are named a, b, c, ... by position.  Candidates in order:
+    the generators, then the commutator [x,y] of each ordered pair of
+    distinct generators.  Among all hits the smallest prime wins, with the
+    lexicographically smallest cycle form breaking ties (then first found),
+    so the canonical small 3-cycle witnesses are preferred over longer prime
+    cycles and later duplicates.
     """
     if not gens:
         return None
     n = gens[0].degree
-    if names is None:
-        names = [f"g{i}" for i in range(len(gens))]
+    names = [chr(ord("a") + i) for i in range(len(gens))]
     best: JordanWitness | None = None
 
     def consider(word: str, p: Permutation) -> None:
@@ -463,24 +462,9 @@ def jordan_certificate(
 
     for name, g in zip(names, gens):
         consider(name, g)
-    for name, g in zip(names, gens):
-        for e in range(2, search_depth + 1):
-            consider(f"{name}^{e}", power(g, e))
     for ni, gi in zip(names, gens):
         for nj, gj in zip(names, gens):
             if gi is gj:
                 continue
             consider(f"[{ni},{nj}]", commutator(gi, gj))
-    for ni, gi in zip(names, gens):
-        for nj, gj in zip(names, gens):
-            if gi is gj:
-                continue
-            for ei in range(1, search_depth + 1):
-                for ej in range(1, search_depth + 1):
-                    if ei == 1 and ej == 1:
-                        continue
-                    consider(
-                        f"[{ni}^{ei},{nj}^{ej}]",
-                        commutator(power(gi, ei), power(gj, ej)),
-                    )
     return best

@@ -55,10 +55,6 @@ class OddK(DomainError):
     pass
 
 
-class SearchExhausted(VerificationFailure):
-    pass
-
-
 class CaseUndefined(DomainError):
     pass
 

@@ -1,16 +1,17 @@
 """Explicit generating families for symmetric and alternating groups.
 
 All families are built from step k-cycles (a a+1 ... a+k-1) with entries
-mod n and sequential step products of such cycles.
+mod n and sequential step products of such cycles.  Each builder returns
+its generators and a `ConstructionCase` by formula; none searches or
+classifies, so whether a construction generates its target is decided by
+the group engine where the cell is verified.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .engine import classify
-from .errors import InvalidParams, OddK, OverlapError, RangeError, SearchExhausted
+from .errors import CaseUndefined, InvalidParams, OddK, OverlapError, RangeError
 from .perms import Permutation, compose, is_even, order_of
 
 
@@ -83,45 +84,30 @@ def prop61_generators(k: int, n: int):
     return (a, b, c), case
 
 
-# Arbitrary k-cycles the Miller search tries after the step-cycle pairs.
-MILLER_BUDGET = 500_000
-
-
 def miller_small_pair(k: int, n: int):
     """Two k-cycles generating S_n (k even) / A_n (k odd), n <= 2k-1.
 
-    Certified by the group engine; searched over step-cycle pairs first,
-    then arbitrary k-subset cycles in lexicographic order.
+    The first is the step cycle (0 1 ... k-1).  The second is
+    - (0 1 ... k-3 k-1 k-2) for n = k >= 4, where every step cycle is the
+      first one;
+    - (0 4 1 5) for (k, n) = (4, 6), where the step pair with s = 2
+      generates PGL(2,5) ≅ S_5 acting on the six points of the projective
+      line over F_5 (`classify` gives Other(120));
+    - the step cycle starting at n-k otherwise, so the two cycles cover all
+      n points.  At (3, 3) the two coincide and generate A_3.
+    `verify --family miller` classifies the pair, so a wrong pair is a fail
+    cell, never a search.
     """
     if not (3 <= k <= n <= 2 * k - 1):
         raise RangeError(f"need 3 <= k <= n <= 2k-1, got k={k}, n={n}")
-    target = "symmetric" if k % 2 == 0 else "alternating"
-
-    def certified(p: Permutation, q: Permutation) -> bool:
-        return classify([p, q]).kind == target
-
-    first = step_cycle(k, n, 0)
-    for s in range(1, n):
-        second = step_cycle(k, n, s)
-        if certified(first, second):
-            return first, second
-    tried = 0
-    for second in _k_cycles_lex(k, n):
-        tried += 1
-        if tried > MILLER_BUDGET:
-            break
-        if certified(first, second):
-            return first, second
-    raise SearchExhausted(f"no certified pair found for k={k}, n={n}")
-
-
-def _k_cycles_lex(k: int, n: int):
-    """All k-cycles on n points: support sets ascending, then the cycle word
-    (min first) in lexicographic order."""
-    for support in itertools.combinations(range(n), k):
-        head, rest = support[0], support[1:]
-        for tail in itertools.permutations(rest):
-            yield _cycle_on([head, *tail], n)
+    if n == k >= 4:
+        second = _cycle_on([*range(k - 2), k - 1, k - 2], n)
+    elif (k, n) == (4, 6):
+        second = _cycle_on([0, 4, 1, 5], n)
+    else:
+        second = step_cycle(k, n, n - k)
+    case = ConstructionCase("miller", k, n, "miller")
+    return (step_cycle(k, n, 0), second), case
 
 
 def prop62_generators(k: int, n: int):
@@ -139,12 +125,8 @@ def prop62_generators(k: int, n: int):
     if n < k + 2:
         raise RangeError(f"need n >= k+2, got n={n}, k={k}")
     m = n - 2
-    if m >= 2 * k:
-        (base_gens), _ = prop61_generators(k, m)
-        base_tag = "prop61-base"
-    else:
-        base_gens = miller_small_pair(k, m)
-        base_tag = "miller-base"
+    base = prop61_generators if m >= 2 * k else miller_small_pair
+    base_gens, base_case = base(k, m)
     swap = _cycle_on([n - 2, n - 1], n)
     lifted = []
     for g in base_gens:
@@ -158,7 +140,7 @@ def prop62_generators(k: int, n: int):
     if len(set(body)) != len(body):
         raise RangeError(f"mixing cycle degenerate for k={k}, n={n}")
     t = compose(_cycle_on(body, n), _cycle_on([1, 2], n))
-    case = ConstructionCase("prop62", k, n, base_tag)
+    case = ConstructionCase("prop62", k, n, f"{base_case.family}-base")
     return (*lifted, t), case
 
 
@@ -169,8 +151,6 @@ def conjecture_pair(k: int, n: int):
     Case 2: k even, floor(n/k) even, n mod k != k-1.
     Case 3: k even, floor(n/k) even, n mod k == k-1 (needs floor(n/k) >= 3).
     """
-    from .errors import CaseUndefined
-
     if not (3 <= k <= n):
         raise RangeError(f"need n >= k >= 3, got k={k}, n={n}")
     m = n // k

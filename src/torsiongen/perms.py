@@ -140,19 +140,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(p.images[y] for y in q.images))
 
 
-def power(p: Permutation, e: int) -> Permutation:
-    if e < 0:
-        return power(p.inverse(), -e)
-    result = Permutation.identity(p.degree)
-    base = p
-    while e:
-        if e & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        e >>= 1
-    return result
-
-
 def order_of(p: Permutation) -> int:
     """Least positive m with p^m = identity (lcm of cycle lengths)."""
     m = 1

@@ -68,9 +68,7 @@ def prop61_grid():
             for n in range(2 * k, 61):
                 gens, _ = prop61_generators(k, n)
                 cls = classify(list(gens))
-                witness = jordan_certificate(
-                    list(gens), search_depth=1, names=["a", "b", "c"]
-                )
+                witness = jordan_certificate(list(gens))
                 results.append((k, n, check_orders(gens, k), cls, witness))
         _prop61_results = results
     return _prop61_results

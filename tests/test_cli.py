@@ -400,7 +400,7 @@ def test_every_error_has_exactly_one_base():
         c for _, c in inspect.getmembers(errors, inspect.isclass)
         if issubclass(c, errors.TorsionGenError) and c not in bases
     ]
-    assert len(classes) == 21
+    assert len(classes) == 20
     for cls in classes:
         assert issubclass(cls, errors.DomainError) != issubclass(
             cls, errors.VerificationFailure

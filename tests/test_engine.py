@@ -373,14 +373,14 @@ class TestTransitivityPrimitivity:
 class TestJordanCertificate:
     def test_k3_witness_is_c(self):
         gens, _ = prop61_generators(3, 9)
-        w = jordan_certificate(list(gens), search_depth=1, names=["a", "b", "c"])
+        w = jordan_certificate(list(gens))
         assert w is not None
         assert w.word == "c"
         assert w.prime == 3
 
     def test_k7_witness_is_commutator(self):
         gens, _ = prop61_generators(7, 21)
-        w = jordan_certificate(list(gens), search_depth=1, names=["a", "b", "c"])
+        w = jordan_certificate(list(gens))
         assert w is not None
         assert w.word == "[a,c]"
         assert w.cycle.cycles == ((0, 1, 5),)
@@ -392,7 +392,7 @@ class TestJordanCertificate:
     def test_commutator_witness_shape(self, k):
         n = 3 * k
         gens, _ = prop61_generators(k, n)
-        w = jordan_certificate(list(gens), search_depth=1, names=["a", "b", "c"])
+        w = jordan_certificate(list(gens))
         assert w is not None
         assert w.cycle.cycles == ((0, 1, k - 2),)
 

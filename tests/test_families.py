@@ -3,6 +3,8 @@ construction families, pinned against worked examples and certified by the
 group engine on subranges.
 """
 
+import itertools
+
 import pytest
 
 from torsiongen.engine import classify
@@ -14,6 +16,8 @@ from torsiongen.errors import (
     RangeError,
 )
 from torsiongen.families import (
+    ConstructionCase,
+    _cycle_on,
     check_orders,
     conjecture_pair,
     miller_small_pair,
@@ -22,7 +26,7 @@ from torsiongen.families import (
     seq_step_product,
     step_cycle,
 )
-from torsiongen.perms import format_cycles, is_even, order_of
+from torsiongen.perms import Permutation, format_cycles, is_even, order_of
 
 
 class TestStepCycle:
@@ -102,30 +106,82 @@ class TestProp61:
             assert classify(list(gens)).kind == want
 
 
+# Arbitrary k-cycles the Miller search tries after the step-cycle pairs.
+MILLER_BUDGET = 500_000
+
+
+def searched_pair(k: int, n: int):
+    """Oracle: the search `miller_small_pair` ran before it became a
+    formula, kept verbatim apart from its name and return shape."""
+    if not (3 <= k <= n <= 2 * k - 1):
+        raise RangeError(f"need 3 <= k <= n <= 2k-1, got k={k}, n={n}")
+    target = "symmetric" if k % 2 == 0 else "alternating"
+
+    def certified(p: Permutation, q: Permutation) -> bool:
+        return classify([p, q]).kind == target
+
+    first = step_cycle(k, n, 0)
+    for s in range(1, n):
+        second = step_cycle(k, n, s)
+        if certified(first, second):
+            return first, second
+    tried = 0
+    for second in _k_cycles_lex(k, n):
+        tried += 1
+        if tried > MILLER_BUDGET:
+            break
+        if certified(first, second):
+            return first, second
+    raise AssertionError(f"no certified pair found for k={k}, n={n}")
+
+
+def _k_cycles_lex(k: int, n: int):
+    """All k-cycles on n points: support sets ascending, then the cycle word
+    (min first) in lexicographic order."""
+    for support in itertools.combinations(range(n), k):
+        head, rest = support[0], support[1:]
+        for tail in itertools.permutations(rest):
+            yield _cycle_on([head, *tail], n)
+
+
 class TestMillerSmallPair:
     def test_k3_n3(self):
-        p, q = miller_small_pair(3, 3)
+        (p, q), _ = miller_small_pair(3, 3)
         assert order_of(p) == 3 and order_of(q) == 3
         assert classify([p, q]).kind == "alternating"
 
     def test_k5_n7(self):
-        p, q = miller_small_pair(5, 7)
+        (p, q), case = miller_small_pair(5, 7)
+        assert case == ConstructionCase("miller", 5, 7, "miller")
         assert order_of(p) == 5 and order_of(q) == 5
         assert classify([p, q]).kind == "alternating"
 
     def test_even_k_symmetric(self):
-        p, q = miller_small_pair(4, 7)
+        (p, q), _ = miller_small_pair(4, 7)
         assert classify([p, q]).kind == "symmetric"
+
+    def test_k4_n6_exception(self):
+        # the step pair with s = 2 is PGL(2,5) on the projective line over F_5
+        step_pair = [step_cycle(4, 6, 0), step_cycle(4, 6, 2)]
+        assert str(classify(step_pair)) == "Other(120)"
+        (p, q), _ = miller_small_pair(4, 6)
+        assert (format_cycles(p), format_cycles(q)) == ("(0 1 2 3)", "(0 4 1 5)")
 
     def test_out_of_range(self):
         with pytest.raises(RangeError):
             miller_small_pair(4, 9)
 
     @pytest.mark.parametrize("k", range(3, 11))
+    def test_formula_equals_search(self, k):
+        for n in range(k, 2 * k):
+            gens, _ = miller_small_pair(k, n)
+            assert gens == searched_pair(k, n), (k, n)
+
+    @pytest.mark.parametrize("k", range(3, 31))
     def test_whole_small_range(self, k):
         want = "symmetric" if k % 2 == 0 else "alternating"
         for n in range(k, 2 * k):
-            p, q = miller_small_pair(k, n)
+            (p, q), _ = miller_small_pair(k, n)
             assert order_of(p) == k and order_of(q) == k
             assert classify([p, q]).kind == want, (k, n)
 
