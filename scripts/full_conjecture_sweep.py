@@ -4,8 +4,10 @@
 The acceptance gate covers k <= 10, n <= 100; this script reproduces the
 larger published grid.  Almost every cell is settled by the giant
 certificate in `classify`, so a cold run takes seconds on one core, not
-hours.  Results are cached, so interrupted runs resume cheaply.  The total
-time and the slowest freshly computed cell go to stderr.
+hours.  Each cell is cached as soon as it is computed, so an interrupted
+run resumes from the cells it finished.  The total time and the slowest
+freshly computed cell (from the in-memory `ReportCell.elapsed`, which the
+report never serializes) go to stderr.
 
 Usage: python scripts/full_conjecture_sweep.py [--k-max 30] [--n-max 200]
 """

@@ -1,6 +1,6 @@
 """Content-addressed on-disk result cache.
 
-Keys hash (report schema, tool version, command, parameters, seed), so
+Keys hash (report schema, tool version, command, parameters), so
 results from a different package version or report schema are never
 reused.  Writes go through a temp file plus os.replace, which is atomic on
 POSIX, so concurrent writers are safe.
@@ -28,14 +28,13 @@ def cache_dir(explicit: str | os.PathLike | None = None) -> Path:
     return Path.home() / ".cache" / "torsiongen"
 
 
-def cache_key(version: str, command: str, params: dict, seed=None) -> str:
+def cache_key(version: str, command: str, params: dict) -> str:
     payload = json.dumps(
         {
             "schema": report.SCHEMA_VERSION,
             "version": version,
             "command": command,
             "params": params,
-            "seed": seed,
         },
         sort_keys=True,
     )

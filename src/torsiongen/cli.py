@@ -8,7 +8,9 @@ raised; 2 on a usage error or a `DomainError`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import random
 import sys
 import time
@@ -29,6 +31,7 @@ from .errors import (
     DomainError,
     InvalidParams,
     RangeError,
+    TooLarge,
     VerificationFailure,
 )
 from .estimate import SAMPLERS, estimate_generation
@@ -45,7 +48,7 @@ from .perms import is_even
 from .report import STATUSES, ReportCell, SweepReport
 from .sympl import generates_mod_p, humphries_classes, rotation_matrix, twist_transvection
 
-# Family -> the name of its builder, which returns (gens, ConstructionCase).
+# Family -> the name of its builder, which returns (gens, case_tag).
 # `_build_family` looks the name up in this module when it is called, so a
 # wrapper put over a builder here (the perfbench tracer's) sees every call.
 _BUILDERS = {
@@ -58,6 +61,10 @@ _NAMESPACE = globals()
 FAMILIES = tuple(_BUILDERS)
 
 KNOWN_EXCEPTIONS = {(3, 6), (3, 7), (3, 8)}
+
+# The most cells one sweep may ask for, far above the full published grid
+# (k <= 30, n <= 200: 5166 cells); the check runs before the grid is built.
+MAX_SWEEP_CELLS = 10**6
 
 
 def _in_domain(family: str, k: int, n: int) -> bool:
@@ -75,8 +82,7 @@ def _in_domain(family: str, k: int, n: int) -> bool:
 def _build_family(family: str, k: int, n: int):
     if family not in _BUILDERS:
         raise InvalidParams(f"unknown family {family!r}")
-    gens, case = _NAMESPACE[_BUILDERS[family]](k, n)
-    return gens, case.case_tag
+    return _NAMESPACE[_BUILDERS[family]](k, n)
 
 
 def _expected_kind(family: str, k: int, gens) -> str:
@@ -164,9 +170,14 @@ def cmd_sweep(
     cache_root=None,
 ) -> SweepReport:
     """Grid sweep, cached per cell, aggregated in (k, n) order regardless of
-    completion order."""
+    completion order.  Each computed cell is cached as soon as it arrives,
+    so an interrupted sweep keeps the cells finished before it.  At most
+    one worker runs per uncached cell and per core, whatever `jobs` asks."""
     if k_range[0] > k_range[1] or n_range[0] > n_range[1]:
         raise InvalidParams(f"empty sweep range: k {k_range}, n {n_range}")
+    size = (k_range[1] - k_range[0] + 1) * (n_range[1] - n_range[0] + 1)
+    if size > MAX_SWEEP_CELLS:
+        raise TooLarge(f"sweep of {size} cells exceeds the {MAX_SWEEP_CELLS}-cell bound")
     grid = [
         (family, k, n)
         for k in range(k_range[0], k_range[1] + 1)
@@ -188,14 +199,16 @@ def cmd_sweep(
         else:
             todo.append((family_, k, n, key))
     work = [(f, k, n) for f, k, n, _ in todo]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_one, work))
-    else:
-        results = [_sweep_one(w) for w in work]
-    for (family_, k, n, key), cell in zip(todo, results):
-        cells[(k, n)] = cell
-        cache_put(root, key, cell.as_dict())
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_sweep_one, work)
+        else:
+            results = map(_sweep_one, work)
+        for (_, k, n, key), cell in zip(todo, results):
+            cells[(k, n)] = cell
+            cache_put(root, key, cell.as_dict())
     if hits:
         # spot-check ~1% of cache hits against recomputation
         rng = random.Random(0)

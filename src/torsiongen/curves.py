@@ -24,16 +24,6 @@ from .errors import (
 from .genus import GenusDecomposition
 
 
-def parse_label(text: str) -> str:
-    """Validate a `kind:index` curve label read from outside the program.
-    xgamma marks an excluded gamma curve (still a Humphries curve).  The
-    kinds are prefix-free, so labels sort by kind, then by index."""
-    kind, _, index = text.partition(":")
-    if kind not in ("alpha", "beta", "gamma", "xgamma", "lantern") or not index:
-        raise InvalidDecomposition(f"bad curve label {text!r}")
-    return text
-
-
 def beta(i: int) -> str:
     return f"beta:{i}"
 
@@ -297,34 +287,6 @@ def actions_to_json(k: int, dec: GenusDecomposition, actions) -> dict:
             for act in actions
         ],
     }
-
-
-def actions_from_json(data: dict):
-    """Inverse of actions_to_json; returns (k, dec, actions)."""
-    d = data["decomposition"]
-    dec = GenusDecomposition(data["k"], d["a"], d["b"], plus_one=d["plus_one"])
-    if dec.genus() != data["genus"]:
-        raise InvalidDecomposition(
-            f"genus {data['genus']} does not match decomposition {dec}"
-        )
-    actions = [
-        GeneratorAction.of(
-            g["name"],
-            g["order"],
-            {parse_label(s): parse_label(t) for s, t in g["map"]},
-        )
-        for g in data["generators"]
-    ]
-    return data["k"], dec, actions
-
-
-def load_shipped(name: str) -> dict:
-    """Load one of the packaged worked-instance action tables."""
-    import json
-    from importlib import resources
-
-    with resources.files("torsiongen").joinpath(f"data/{name}").open() as fh:
-        return json.load(fh)
 
 
 def certify_single_orbit(actions: list[GeneratorAction], labels: set[str]) -> int:

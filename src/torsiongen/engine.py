@@ -1,8 +1,8 @@
 """Exact permutation-group engine.
 
 Builds a base and strong generating set (deterministic Schreier-Sims) and
-answers exact order / membership / orbit / transitivity / primitivity
-queries.  `classify` first tries a giant certificate (transitivity plus an
+answers exact order / orbit / transitivity / primitivity queries.
+`classify` first tries a giant certificate (transitivity plus an
 element with a long prime cycle, found by a seeded random walk) that proves
 the group contains A_n without building a chain; a missed certificate only
 costs the chain build, never a different verdict.  `jordan_certificate`
@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     DegreeMismatch,
     EmptyGeneratorList,
-    InvalidParams,
     PointOutOfRange,
 )
 from .perms import CycleDecomposition, Permutation, commutator, is_even
@@ -123,10 +122,6 @@ class StabilizerChain:
         arrays = [_to_array(g) for g in gens if not g.is_identity()]
         self.levels: list[_Level] = []
         self._build(arrays)
-
-    @property
-    def base(self) -> list[int]:
-        return [lvl.point for lvl in self.levels]
 
     # -- construction ------------------------------------------------------
 
@@ -230,14 +225,6 @@ class StabilizerChain:
         for lvl in self.levels:
             n *= len(lvl.transversal)
         return n
-
-    def contains(self, p: Permutation) -> bool:
-        if not self.complete:
-            raise InvalidParams("membership needs a fully built chain")
-        if p.degree != self.degree:
-            raise DegreeMismatch(f"degrees {p.degree} != {self.degree}")
-        _, residue = self._sift_array(_to_array(p))
-        return residue is None
 
 
 @dataclass(frozen=True)

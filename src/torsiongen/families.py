@@ -2,25 +2,15 @@
 
 All families are built from step k-cycles (a a+1 ... a+k-1) with entries
 mod n and sequential step products of such cycles.  Each builder returns
-its generators and a `ConstructionCase` by formula; none searches or
-classifies, so whether a construction generates its target is decided by
-the group engine where the cell is verified.
+`(gens, case_tag)` by formula, the tag naming the construction branch it
+took; none searches or classifies, so whether a construction generates its
+target is decided by the group engine where the cell is verified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CaseUndefined, InvalidParams, OddK, OverlapError, RangeError
 from .perms import Permutation, compose, is_even, order_of
-
-
-@dataclass(frozen=True)
-class ConstructionCase:
-    family: str  # "prop61" | "prop62" | "miller" | "conjecture"
-    k: int
-    n: int
-    case_tag: str
 
 
 def step_cycle(k: int, n: int, a: int) -> Permutation:
@@ -80,8 +70,7 @@ def prop61_generators(k: int, n: int):
     else:
         c = compose(_cycle_on([0, 1, 2], n), step_cycle(k, n, 0))
         c_tag = "k>3"
-    case = ConstructionCase("prop61", k, n, f"{b_tag};{c_tag}")
-    return (a, b, c), case
+    return (a, b, c), f"{b_tag};{c_tag}"
 
 
 def miller_small_pair(k: int, n: int):
@@ -106,8 +95,7 @@ def miller_small_pair(k: int, n: int):
         second = _cycle_on([0, 4, 1, 5], n)
     else:
         second = step_cycle(k, n, n - k)
-    case = ConstructionCase("miller", k, n, "miller")
-    return (step_cycle(k, n, 0), second), case
+    return (step_cycle(k, n, 0), second), "miller"
 
 
 def prop62_generators(k: int, n: int):
@@ -125,8 +113,12 @@ def prop62_generators(k: int, n: int):
     if n < k + 2:
         raise RangeError(f"need n >= k+2, got n={n}, k={k}")
     m = n - 2
-    base = prop61_generators if m >= 2 * k else miller_small_pair
-    base_gens, base_case = base(k, m)
+    if m >= 2 * k:
+        base_gens, _ = prop61_generators(k, m)
+        tag = "prop61-base"
+    else:
+        base_gens, _ = miller_small_pair(k, m)
+        tag = "miller-base"
     swap = _cycle_on([n - 2, n - 1], n)
     lifted = []
     for g in base_gens:
@@ -140,8 +132,7 @@ def prop62_generators(k: int, n: int):
     if len(set(body)) != len(body):
         raise RangeError(f"mixing cycle degenerate for k={k}, n={n}")
     t = compose(_cycle_on(body, n), _cycle_on([1, 2], n))
-    case = ConstructionCase("prop62", k, n, f"{base_case.family}-base")
-    return (*lifted, t), case
+    return (*lifted, t), tag
 
 
 def conjecture_pair(k: int, n: int):
@@ -175,8 +166,7 @@ def conjecture_pair(k: int, n: int):
             step_cycle(k, n, (k * m - 1) % n),
         )
         tag = "case3"
-    case = ConstructionCase("conjecture", k, n, tag)
-    return (a, b), case
+    return (a, b), tag
 
 
 def check_orders(gens, k: int) -> bool:

@@ -92,18 +92,6 @@ def stable_bound(k: int) -> int:
     return (k - 1) * (k - 3)
 
 
-def count_small_representable(k: int) -> tuple[int, int]:
-    """(representable count, window size) for g in 1..stable_bound(k)-1.
-
-    The count is produced by enumeration; the closed forms (k^2-3k-4)/2 and
-    k^2-4k+2 are claims tested against it, not trusted inputs.
-    """
-    bound = stable_bound(k)
-    window = range(1, bound)
-    count = sum(1 for g in window if decompose(k, g) is not None)
-    return count, len(window)
-
-
 def theorem1_bound(k: int) -> int:
     """(k-1)^2 + 1; at or above it a decomposition with a >= 1 and no
     plus_one handle always exists."""

@@ -1,4 +1,4 @@
-"""Permutations on {0..n-1} with cycle notation I/O.
+"""Permutations on {0..n-1} as image tables.
 
 Composition convention: compose(p, q) applies q first, i.e. the result maps
 x to p(q(x)).  The commutator is p^-1 q^-1 p q, read the same way (q acts
@@ -8,18 +8,10 @@ the generator-family tests and must not be changed independently.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import (
-    DegreeMismatch,
-    MalformedCycle,
-    PointOutOfRange,
-    RepeatedPoint,
-)
-
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+from .errors import DegreeMismatch, MalformedCycle, RepeatedPoint
 
 
 @dataclass(frozen=True)
@@ -55,12 +47,6 @@ class Permutation:
             inv[y] = x
         return Permutation(tuple(inv))
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
-    def __str__(self) -> str:
-        return format_cycles(self)
-
     def cycles(self) -> list[list[int]]:
         """Canonical disjoint cycles: min element first, sorted by min,
         fixed points omitted."""
@@ -92,47 +78,6 @@ class CycleDecomposition:
         return cls(tuple(tuple(c) for c in p.cycles()), p.degree)
 
 
-def parse_cycles(text: str, n: int) -> Permutation:
-    """Parse whitespace-separated parenthesized cycles into a permutation.
-
-    Unlisted points are fixed; cycles must be pairwise disjoint.
-    """
-    if n < 1:
-        raise PointOutOfRange("degree must be >= 1")
-    stripped = text.strip()
-    remainder = _CYCLE_RE.sub("", stripped)
-    if remainder.strip():
-        raise MalformedCycle(f"unparsable cycle text: {text!r}")
-    images = list(range(n))
-    used: set[int] = set()
-    for m in _CYCLE_RE.finditer(stripped):
-        body = m.group(1).strip()
-        if not body:
-            continue
-        try:
-            pts = [int(tok) for tok in body.split()]
-        except ValueError as e:
-            raise MalformedCycle(f"bad cycle entry in {m.group(0)!r}") from e
-        for p in pts:
-            if p < 0 or p >= n:
-                raise PointOutOfRange(f"point {p} out of range for degree {n}")
-            if p in used:
-                raise RepeatedPoint(f"point {p} appears in two cycles")
-            used.add(p)
-        if len(pts) < 2:
-            continue
-        for i, x in enumerate(pts):
-            images[x] = pts[(i + 1) % len(pts)]
-    return Permutation(tuple(images))
-
-
-def format_cycles(p: Permutation) -> str:
-    cycs = p.cycles()
-    if not cycs:
-        return "()"
-    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
-
-
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Return r with r(x) = p(q(x)) (right factor applied first)."""
     if p.degree != q.degree:
@@ -155,11 +100,6 @@ def commutator(p: Permutation, q: Permutation) -> Permutation:
     return compose(compose(p.inverse(), q.inverse()), compose(p, q))
 
 
-def parity(p: Permutation) -> str:
-    """'even' or 'odd'; a k-cycle is even iff k is odd."""
-    transpositions = sum(len(c) - 1 for c in p.cycles())
-    return "even" if transpositions % 2 == 0 else "odd"
-
-
 def is_even(p: Permutation) -> bool:
-    return parity(p) == "even"
+    """A k-cycle is even iff k is odd."""
+    return sum(len(c) - 1 for c in p.cycles()) % 2 == 0

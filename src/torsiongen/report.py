@@ -61,15 +61,12 @@ class ReportCell:
             elapsed,
         )
 
-    def as_dict(self, include_elapsed: bool = False) -> dict:
-        d = {
+    def as_dict(self) -> dict:
+        return {
             "params": dict(self.params),
             "status": self.status,
             "outcome": dict(self.outcome),
         }
-        if include_elapsed:
-            d["elapsed"] = self.elapsed
-        return d
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ class SweepReport:
     def ok(self) -> bool:
         return self.summary()["fail"] == 0
 
-    def as_dict(self, include_elapsed: bool = False) -> dict:
+    def as_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
             "version": self.version,
@@ -101,11 +98,11 @@ class SweepReport:
             "params": dict(self.params),
             "seed": self.seed,
             "summary": self.summary(),
-            "cells": [c.as_dict(include_elapsed) for c in self.cells],
+            "cells": [c.as_dict() for c in self.cells],
         }
 
-    def to_json(self, include_elapsed: bool = False) -> str:
-        return _dump(self.as_dict(include_elapsed)) + "\n"
+    def to_json(self) -> str:
+        return _dump(self.as_dict()) + "\n"
 
     def to_csv(self) -> str:
         keys_p = sorted({k for c in self.cells for k, _ in c.params})

@@ -30,7 +30,6 @@ from torsiongen.families import (
 )
 from torsiongen.genus import (
     GenusDecomposition,
-    count_small_representable,
     decompose,
     stable_bound,
     theorem1_bound,
@@ -146,11 +145,10 @@ def test_criterion_5_genus_arithmetic():
         if any(g not in reachable for g in range(bound, 5001)):
             problems.append((k, "gap above stable bound"))
         below = sum(1 for g in range(1, bound) if g in reachable)
-        count, window = count_small_representable(k)
-        if below != count or count != (k * k - 3 * k - 4) // 2:
-            problems.append((k, "count mismatch", below, count))
-        if window != k * k - 4 * k + 2:
-            problems.append((k, "window mismatch", window))
+        if below != (k * k - 3 * k - 4) // 2:
+            problems.append((k, "count mismatch", below))
+        if bound - 1 != k * k - 4 * k + 2:
+            problems.append((k, "window mismatch", bound - 1))
         if k >= 6:
             for g in range(theorem1_bound(k), 5001):
                 d = decompose(k, g, require_leading_k=True)

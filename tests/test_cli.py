@@ -1,14 +1,16 @@
 """CLI surface, reports, and cache: exit codes, determinism, round trips."""
 
 import codecs
+import dataclasses
 import inspect
 import io
 import json
+import os
 import time
 
 import pytest
 
-from torsiongen import __version__, errors, report
+from torsiongen import __version__, cli, curves, errors, families, perms, report, sympl
 from torsiongen.cache import cache_dir, cache_key, get as cache_get, put as cache_put
 from torsiongen.cli import (
     _build_parser,
@@ -29,6 +31,10 @@ def run(argv, env_cache=None):
     return code, out.getvalue(), err.getvalue()
 
 
+class Interrupted(Exception):
+    """Raised by the stubs below to stop a sweep part-way."""
+
+
 class TestReport:
     def cell(self, status="pass"):
         return ReportCell.of({"k": 5, "n": 18}, status, {"kind": "alternating"}, 1.5)
@@ -45,8 +51,8 @@ class TestReport:
 
     def test_canonical_json_excludes_elapsed(self):
         rep = SweepReport.of("verify", {}, [self.cell()], "0")
+        assert rep.cells[0].elapsed == 1.5
         assert "elapsed" not in rep.to_json()
-        assert "elapsed" in rep.to_json(include_elapsed=True)
 
     def test_json_parses(self):
         rep = cmd_verify("prop61", 5, 18)
@@ -224,6 +230,66 @@ class TestSweep:
         b = cmd_sweep("prop61", (3, 3), (6, 14), jobs=2, cache_root=tmp_path / "b")
         assert a.to_json() == b.to_json()
 
+    def test_interrupted_sweep_keeps_finished_cells(self, tmp_path, monkeypatch):
+        sweep_one, done = cli._sweep_one, []
+
+        def fourth_interrupts(args):
+            if len(done) == 3:
+                raise Interrupted
+            done.append(args)
+            return sweep_one(args)
+
+        monkeypatch.setattr(cli, "_sweep_one", fourth_interrupts)
+        with pytest.raises(Interrupted):
+            cmd_sweep("conjecture", (5, 5), (5, 12), cache_root=tmp_path)
+        assert [(k, n) for _, k, n in done] == [(5, 5), (5, 6), (5, 7)]
+        for _, k, n in done:
+            key = cache_key(__version__, "verify/conjecture", {"k": k, "n": n})
+            assert cache_get(tmp_path, key)["params"] == {"family": "conjecture", "k": k, "n": n}
+        assert len(list(tmp_path.rglob("*.json"))) == 3
+
+    @pytest.mark.parametrize("cores,n_max,workers", [(64, 7, 3), (4, 10, 4), (None, 10, 1)])
+    def test_workers_clamped_before_any_start(self, tmp_path, monkeypatch, cores, n_max, workers):
+        # the stub starts no process, and the sweep stops at the first cell
+        asked = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                raise Interrupted
+
+        def first_cell(args):
+            raise Interrupted
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(cli, "_sweep_one", first_cell)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        with pytest.raises(Interrupted):
+            cmd_sweep("conjecture", (5, 5), (5, n_max), jobs=10_000, cache_root=tmp_path)
+        assert asked == ([workers] if workers > 1 else [])
+
+    def test_oversized_grid_is_refused_before_any_cell(self, tmp_path, monkeypatch):
+        def no_cell_work(*args):
+            raise AssertionError("the sweep reached a cell")
+
+        monkeypatch.setattr(cli, "cache_key", no_cell_work)
+        # 1001 x 1000 cells, one row past the bound
+        code, out, err = run([
+            "sweep", "--family", "conjecture", "--k", "3", "--k-max", "1003",
+            "--n", "3", "--n-max", "1002", "--cache-dir", str(tmp_path),
+        ])
+        assert code == 2 and out == ""
+        assert err == "error: sweep of 1001000 cells exceeds the 1000000-cell bound\n"
+        assert not any(tmp_path.iterdir())
+
 
 class TestMcg:
     def test_worked_four(self):
@@ -371,6 +437,74 @@ class TestMainExitCodes:
         ])
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == "" and "rejection" in err
+
+
+def statuses(out: str) -> dict:
+    """Stage -> status of a JSON report."""
+    return {c["params"]["stage"]: c["status"] for c in json.loads(out)["cells"]}
+
+
+MCG_STAGES = [
+    "decompose", "build_actions", "lantern_hypotheses",
+    "single_orbit", "lantern_word", "rotation_order",
+]
+
+
+class TestNegativeControls:
+    """Broken inputs put through `main`: each must fail exactly the cell or
+    stage it breaks, and exit 1."""
+
+    MCG = ["mcg", "--k", "5", "--g", "18", "--variant", "four"]
+
+    def mcg_failing(self, monkeypatch, attr, replacement, *failing):
+        monkeypatch.setattr(cli, attr, replacement)
+        code, out, _ = run(self.MCG)
+        assert code == 1
+        assert statuses(out) == {s: "fail" if s in failing else "pass" for s in MCG_STAGES}
+
+    def test_wrong_order_generator_fails_its_cell(self, monkeypatch):
+        # <a, ab> = <a, b> and ab is even, so only the order check can fail
+        def pair(k, n):
+            (a, b), tag = families.conjecture_pair(k, n)
+            return (a, perms.compose(a, b)), tag
+
+        monkeypatch.setattr(cli, "conjecture_pair", pair)
+        code, out, _ = run(["verify", "--family", "conjecture", "--k", "5", "--n", "18"])
+        cell = json.loads(out)["cells"][0]
+        assert code == 1 and cell["status"] == "fail"
+        assert cell["params"] == {"family": "conjecture", "k": 5, "n": 18}
+        assert cell["outcome"]["orders_ok"] is False
+        assert cell["outcome"]["kind"] == cell["outcome"]["expected"]
+
+    def test_deleted_attachment_edge_splits_the_orbit(self, monkeypatch):
+        def without_attachment(k, dec):
+            f, g, h = curves.build_action_four(k, dec)
+            g_map = {s: t for s, t in g.map if s != curves.beta(4)}
+            return [f, curves.GeneratorAction.of("g", k, g_map), h]
+
+        self.mcg_failing(monkeypatch, "build_action_four", without_attachment, "single_orbit")
+
+    def test_broken_lantern_h_fails_both_lantern_stages(self, monkeypatch):
+        def swapped_h(k, dec):
+            f, g, h = curves.build_action_four(k, dec)
+            h_map = {**h.as_dict(), curves.gamma(1): curves.alpha(2), curves.gamma(2): curves.X2}
+            return [f, g, curves.GeneratorAction.of("h", k, h_map)]
+
+        self.mcg_failing(
+            monkeypatch, "build_action_four", swapped_h, "lantern_hypotheses", "lantern_word"
+        )
+
+    def test_wrong_order_rotation_fails_its_stage(self, monkeypatch):
+        def order_k_plus_1(dec):
+            return sympl.rotation_matrix(dataclasses.replace(dec, k=dec.k + 1))
+
+        self.mcg_failing(monkeypatch, "rotation_matrix", order_k_plus_1, "rotation_order")
+
+    def test_one_transvection_does_not_generate_mod_p(self, monkeypatch):
+        monkeypatch.setattr(cli, "humphries_classes", lambda g: sympl.humphries_classes(g)[:1])
+        code, out, _ = run(["sympl", "--k", "2", "--g", "2", "--p", "2"])
+        assert code == 1
+        assert statuses(out) == {"rotation": "pass", "humphries_mod_2": "fail"}
 
 
 class TestParserReuse:

@@ -6,6 +6,7 @@ group engine on subranges.
 import itertools
 
 import pytest
+from helpers import format_cycles
 
 from torsiongen.engine import classify
 from torsiongen.errors import (
@@ -16,7 +17,6 @@ from torsiongen.errors import (
     RangeError,
 )
 from torsiongen.families import (
-    ConstructionCase,
     _cycle_on,
     check_orders,
     conjecture_pair,
@@ -26,7 +26,7 @@ from torsiongen.families import (
     seq_step_product,
     step_cycle,
 )
-from torsiongen.perms import Permutation, format_cycles, is_even, order_of
+from torsiongen.perms import Permutation, is_even, order_of
 
 
 class TestStepCycle:
@@ -71,13 +71,13 @@ class TestProp61:
         assert format_cycles(b) == "(0 14 15 16 17)(4 5 6 7 8)(9 10 11 12 13)"
         # c = (1 0 2 3 4): 1->0, 0->2, 2->3, 3->4, 4->1
         assert format_cycles(c) == "(0 2 3 4 1)"
-        assert case.case_tag == "k∤n;k>3"
+        assert case == "k∤n;k>3"
 
     def test_divisible_branch_k3_n9(self):
         (a, b, c), case = prop61_generators(3, 9)
         assert format_cycles(c) == "(0 1 2)"
         assert format_cycles(b) == "(2 3 4)(5 6 7)"
-        assert case.case_tag == "k|n;k=3"
+        assert case == "k|n;k=3"
 
     def test_out_of_range(self):
         with pytest.raises(RangeError):
@@ -152,7 +152,7 @@ class TestMillerSmallPair:
 
     def test_k5_n7(self):
         (p, q), case = miller_small_pair(5, 7)
-        assert case == ConstructionCase("miller", 5, 7, "miller")
+        assert case == "miller"
         assert order_of(p) == 5 and order_of(q) == 5
         assert classify([p, q]).kind == "alternating"
 
@@ -217,12 +217,12 @@ class TestProp62:
 class TestConjecturePair:
     def test_case2_k4_n16(self):
         (a, b), case = conjecture_pair(4, 16)
-        assert case.case_tag == "case2"
+        assert case == "case2"
         assert format_cycles(b) == "(0 1 2 15)(3 4 5 6)(7 8 9 10)"
 
     def test_case3_k4_n19(self):
         (a, b), case = conjecture_pair(4, 19)
-        assert case.case_tag == "case3"
+        assert case == "case3"
         assert (
             format_cycles(b)
             == "(1 2 3 4)(5 6 7 8)(11 12)(13 14)(15 16 17 18)"
@@ -231,7 +231,7 @@ class TestConjecturePair:
 
     def test_case1_k5_n18(self):
         (a, b), case = conjecture_pair(5, 18)
-        assert case.case_tag == "case1"
+        assert case == "case1"
         assert b(4) == 6  # first cycle (4 6 7 8 5)
         cycles = {tuple(c) for c in b.cycles()}
         assert (4, 6, 7, 8, 5) in cycles
@@ -255,11 +255,11 @@ class TestConjecturePair:
                     continue
                 m = n // k
                 if k % 2 == 1 or m % 2 == 1:
-                    assert case.case_tag == "case1"
+                    assert case == "case1"
                 elif n % k != k - 1:
-                    assert case.case_tag == "case2"
+                    assert case == "case2"
                 else:
-                    assert case.case_tag == "case3"
+                    assert case == "case3"
 
     def test_orders(self):
         for k in range(3, 9):

@@ -24,8 +24,8 @@ CRITERION_9 = [
 ]
 
 
-def oracle(rep: SweepReport, include_elapsed: bool = False) -> str:
-    return json.dumps(rep.as_dict(include_elapsed), sort_keys=True, indent=2) + "\n"
+def oracle(rep: SweepReport) -> str:
+    return json.dumps(rep.as_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def report_of(argv) -> SweepReport:
@@ -40,10 +40,9 @@ def holding(value) -> SweepReport:
 
 @pytest.mark.parametrize("argv", CRITERION_9, ids=[" ".join(a[:1] + a[2:4]) for a in CRITERION_9])
 def test_criterion_9_reports_match_the_oracle(argv):
-    # estimate's outcome holds floats; with elapsed, every cell does
+    # estimate's outcome holds floats
     rep = report_of(argv)
     assert rep.to_json() == oracle(rep)
-    assert rep.to_json(include_elapsed=True) == oracle(rep, include_elapsed=True)
 
 
 def test_784_cell_sweep_cold_and_warm(tmp_path):
@@ -54,7 +53,6 @@ def test_784_cell_sweep_cold_and_warm(tmp_path):
     cold, warm = report_of(argv), report_of(argv)
     assert len(cold.cells) == len(warm.cells) == 784
     assert cold.to_json() == oracle(cold) == warm.to_json() == oracle(warm)
-    assert warm.to_json(include_elapsed=True) == oracle(warm, include_elapsed=True)
 
 
 SPECIAL_TEXT = st.sampled_from(["", "é", "\x00\x1f\x7f", " \ud800", '"\\/', "😀"])
@@ -82,7 +80,6 @@ JSON_LIKE = st.recursive(
 def test_writer_matches_the_oracle_on_json_like_values(value):
     rep = holding(value)
     assert rep.to_json() == oracle(rep)
-    assert rep.to_json(include_elapsed=True) == oracle(rep, include_elapsed=True)
 
 
 @pytest.mark.parametrize("value", [{1, 2}, object(), b"bytes", {"k": 1j}])
